@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-governed bench-ecc bench-json bench-obs bench-cluster bench-gemm bench-sparse bench-telemetry
+.PHONY: all build test race vet fmt bench bench-compare bench-governed bench-ecc
 
 all: vet build test
 
@@ -21,9 +21,16 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Full benchmark sweep (paper figures + substrate micro-benches).
+# The repo's benchmark (BENCHMARK.json): four end-to-end workloads plus
+# the per-layer budget, every answer checked against a naive-kernel
+# oracle. Writes bench/out/results.json; see bench/README.md.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) run ./bench
+
+# Verdict per metric of the last `make bench` run against the committed
+# trajectory.
+bench-compare:
+	$(GO) run ./bench -compare bench/results/baseline.json bench/out/results.json
 
 # The governed-fleet comparison: serving throughput must hold while
 # energy-per-request drops versus the static operating points.
@@ -35,86 +42,3 @@ bench-governed:
 # the raw frame-scrub pass cost.
 bench-ecc:
 	$(GO) test -run '^$$' -bench 'BenchmarkScrubOverhead|BenchmarkGovernedFleetECC' -benchtime 2s .
-
-# Machine-readable perf snapshot of the compute-engine hot paths
-# (conv kernels naive vs GEMM; steady-state classify time + allocs;
-# batched inference at batch 1/8/32). CI runs this and uploads
-# BENCH_$(BENCH_NUM).json so the perf trajectory is recorded per commit;
-# bump BENCH_NUM (or pass BENCH_NUM=n) when a PR re-baselines the
-# snapshot. -cpu 4 raises GOMAXPROCS to cover the DPU's three cores, so
-# the batched executor's per-core lanes actually run in parallel.
-# Two steps (not a pipeline) so a benchmark failure fails the target
-# instead of being masked by benchjson's exit status.
-# Tracing overhead snapshot: BenchmarkTracedInfer runs the instrumented
-# infer path with tracing off and on. The off mode pins the zero-cost
-# contract (0 allocs/request added when -trace is disabled); the on mode
-# records what a fully traced request costs. Emitted as BENCH_6.json.
-bench-obs:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracedInfer' \
-		-benchmem -benchtime 0.3s -count 1 ./internal/serve > BENCH_6.raw
-	$(GO) run ./cmd/benchjson -label BENCH_6 < BENCH_6.raw > BENCH_6.json
-	@rm -f BENCH_6.raw
-	@cat BENCH_6.json
-
-# Cluster saturation snapshot: BenchmarkClusterOpenLoop calibrates a
-# 2-pool cluster's closed-loop capacity, then offers open-loop traffic
-# at 1x/2x/4x. The p50_ms/p99_ms/shed_rate metrics pin the
-# load-shedding contract: past capacity the shed rate rises while p99
-# stays bounded — overload becomes 429s, not unbounded queueing.
-# Emitted as BENCH_7.json.
-bench-cluster:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterOpenLoop' \
-		-benchtime 1x -count 1 . > BENCH_7.raw
-	$(GO) run ./cmd/benchjson -label BENCH_7 < BENCH_7.raw > BENCH_7.json
-	@rm -f BENCH_7.raw
-	@cat BENCH_7.json
-
-# GEMM scaling snapshot: the conv kernels comparison plus the tiled
-# GEMM engine (single-image conv + 8-image multi-RHS batch) swept
-# across -cpu 1,2,4. The tile worker pool is GOMAXPROCS-aware, so each
-# -cpu width runs a matching pool width: the sweep pins both the
-# parallel speedup trajectory and the -cpu 1 no-regression contract
-# (the 1-worker path is the serial kernel loop verbatim). Emitted as
-# BENCH_8.json.
-bench-gemm:
-	$(GO) test -run '^$$' -bench 'BenchmarkConvKernels|BenchmarkGemmScaling' \
-		-benchmem -benchtime 0.3s -count 1 -cpu 1,2,4 . > BENCH_8.raw
-	$(GO) run ./cmd/benchjson -label BENCH_8 < BENCH_8.raw > BENCH_8.json
-	@rm -f BENCH_8.raw
-	@cat BENCH_8.json
-
-# Sparse backend snapshot: the skip-zero GEMM engine versus the dense
-# tiled engine on the same block-pruned weights, swept across sparsity
-# 0/0.25/0.50/0.90 and -cpu 1,2,4 (both engines ride the same tile
-# worker pool), plus the end-to-end prune→quantize→deploy serving
-# comparison at a live-fault operating point. The gate: sparse must
-# beat dense by >=1.8x at 90% block sparsity, with 0 allocs/op on both
-# paths. Emitted as BENCH_9.json.
-bench-sparse:
-	$(GO) test -run '^$$' -bench 'BenchmarkSparseGemm|BenchmarkClassifyPruned' \
-		-benchmem -benchtime 0.3s -count 1 -cpu 1,2,4 . > BENCH_9.raw
-	$(GO) run ./cmd/benchjson -label BENCH_9 < BENCH_9.raw > BENCH_9.json
-	@rm -f BENCH_9.raw
-	@cat BENCH_9.json
-
-# Telemetry cost snapshot: one full-pool sample (every board plus the
-# aggregate, twelve series each — the allocs/op column pins the
-# zero-alloc steady-state contract), one digest ingest (the per-request
-# latency-observation cost), and the governed serving-throughput delta
-# with the sampler off versus running at 1 ms (20x the production
-# default) — the observability tax on the serving path. Emitted as
-# BENCH_10.json.
-bench-telemetry:
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetrySample|BenchmarkDigestIngest|BenchmarkTelemetryFleet' \
-		-benchmem -benchtime 0.3s -count 1 . > BENCH_10.raw
-	$(GO) run ./cmd/benchjson -label BENCH_10 < BENCH_10.raw > BENCH_10.json
-	@rm -f BENCH_10.raw
-	@cat BENCH_10.json
-
-BENCH_NUM ?= 5
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkConvKernels|BenchmarkClassifySteadyState|BenchmarkInferBatched|BenchmarkScrubOverhead' \
-		-benchmem -benchtime 0.3s -count 1 -cpu 4 . > BENCH_$(BENCH_NUM).raw
-	$(GO) run ./cmd/benchjson -label BENCH_$(BENCH_NUM) < BENCH_$(BENCH_NUM).raw > BENCH_$(BENCH_NUM).json
-	@rm -f BENCH_$(BENCH_NUM).raw
-	@cat BENCH_$(BENCH_NUM).json

@@ -177,9 +177,11 @@ func BenchmarkConv2DInt8(b *testing.B) {
 }
 
 // BenchmarkConvKernels compares the naive direct convolution against the
-// im2col+GEMM lowering on a conv-dominated kernel (64×32×3×3 over
-// 32×32: ≈19M MACs, the regime the serving hot path lives in). The
-// engine's acceptance gate is gemm ≥ 3× naive.
+// im2col+GEMM lowering (a one-image batch) on a conv-dominated kernel
+// (64×32×3×3 over 32×32: ≈19M MACs, the regime the serving hot path
+// lives in). The engine's acceptance gate is gemm ≥ 3× naive. The tile
+// worker pool stays in automatic mode, so -cpu 1,2,4 sweeps the gemm
+// arm's pool width (the workers metric records it).
 func BenchmarkConvKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(32, 32, 32)
@@ -198,28 +200,28 @@ func BenchmarkConvKernels(b *testing.B) {
 		}
 	})
 	b.Run("gemm", func(b *testing.B) {
+		xs := []*quant.QTensor{xq}
 		var col []int8
 		var acc []int32
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := quant.Conv2DInt8Gemm(xq, wq, bias, 1, 1, &col, &acc); err != nil {
+			if _, err := quant.Conv2DInt8GemmBatch(xs, wq, bias, 1, 1, &col, &acc); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		b.ReportMetric(float64(quant.Workers()), "workers")
 	})
 }
 
 // BenchmarkGemmScaling measures the tiled GEMM engine's parallel
-// scaling on the two serving-dominant shapes: the single-image conv
-// lowering (64×32×3×3 over 32×32, ≈19M MACs) and the batched multi-RHS
-// variant (8 images stacked into one wide GEMM). The tile worker pool
-// is left in its GOMAXPROCS-aware automatic mode, so running with
-// -cpu 1,2,4 sweeps the pool width; the workers metric records the
-// effective width per run. The -cpu 1 case must stay within noise of
-// the serial pre-parallel kernel (the pool's serial path is the old
-// kernel loop verbatim), and wider runs bound the macro-tile speedup.
-// Run via `make bench-gemm` (emits BENCH_8.json).
+// scaling on the batched multi-RHS conv lowering (8 images of
+// 64×32×3×3 over 32×32 stacked into one wide GEMM; the one-image shape
+// is BenchmarkConvKernels/gemm). The tile worker pool is left in its
+// GOMAXPROCS-aware automatic mode, so running with -cpu 1,2,4 sweeps
+// the pool width; the workers metric records the effective width per
+// run.
 func BenchmarkGemmScaling(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := tensor.New(64, 32, 3, 3)
@@ -233,19 +235,6 @@ func BenchmarkGemmScaling(b *testing.B) {
 		x.FillRandn(rng, 1)
 		xqs[i], _ = quant.Quantize(x, 8)
 	}
-	b.Run("conv", func(b *testing.B) {
-		var col []int8
-		var acc []int32
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := quant.Conv2DInt8Gemm(xqs[0], wq, bias, 1, 1, &col, &acc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(quant.Workers()), "workers")
-	})
 	b.Run("conv-batch", func(b *testing.B) {
 		var col []int8
 		var acc []int32
@@ -273,12 +262,12 @@ func BenchmarkGemmScaling(b *testing.B) {
 // kernel at every point; the acceptance gate is sparse ≥ 1.8× dense at
 // 90% sparsity. The tile worker pool stays in automatic mode, so
 // -cpu 1,2,4 sweeps the pool width (the workers metric records it).
-// Run via `make bench-sparse` (emits BENCH_9.json).
 func BenchmarkSparseGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(32, 32, 32)
 	x.FillRandn(rng, 1)
 	xq, _ := quant.Quantize(x, 8)
+	xs := []*quant.QTensor{xq}
 	bias := make([]int32, 64)
 	for _, sp := range []float64{0, 0.25, 0.5, 0.9} {
 		w := tensor.New(64, 32, 3, 3)
@@ -309,7 +298,7 @@ func BenchmarkSparseGemm(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := quant.Conv2DInt8Gemm(xq, wq, bias, 1, 1, &col, &acc); err != nil {
+				if _, err := quant.Conv2DInt8GemmBatch(xs, wq, bias, 1, 1, &col, &acc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -322,7 +311,7 @@ func BenchmarkSparseGemm(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := quant.Conv2DInt8GemmSparse(xq, sw, bias, 1, 1, &col, &acc); err != nil {
+				if _, err := quant.Conv2DInt8GemmBatchSparse(xs, sw, bias, 1, 1, &col, &acc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -452,9 +441,9 @@ func BenchmarkClassifySteadyState(b *testing.B) {
 // regime). Larger batches amortize per-pass overhead, run one stacked
 // multi-RHS GEMM per layer, and fan the micro-batch across the DPU's
 // three cores, so images/sec rises with batch size (bounded by the
-// machine's usable cores; run via `make bench-json`, which raises
-// GOMAXPROCS to cover the DPU's core count). Reports images/sec and
-// steady-state heap allocations per image.
+// machine's usable cores; run with -cpu 4 so GOMAXPROCS covers the
+// DPU's core count). Reports images/sec and steady-state heap
+// allocations per image.
 func BenchmarkInferBatched(b *testing.B) {
 	brd := board.MustNew(board.SampleB)
 	rt, err := dnndk.NewRuntime(brd, 3)
@@ -513,8 +502,9 @@ func BenchmarkInferBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkDPUInference measures one fault-free inference through the
-// full DPU executor (VGGNet tiny).
+// BenchmarkDPUInference measures one fault-free inference — the batch
+// of one through a warm Scratch, the governor's canary path — through
+// the full DPU executor (VGGNet tiny).
 func BenchmarkDPUInference(b *testing.B) {
 	brd := board.MustNew(board.SampleB)
 	rt, err := dnndk.NewRuntime(brd, 3)
@@ -532,9 +522,11 @@ func BenchmarkDPUInference(b *testing.B) {
 	}
 	ds := bench.MakeDataset(4, 1)
 	rng := rand.New(rand.NewSource(2))
+	scratch := dpu.NewScratch()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := task.Run(ds.Inputs[i%4], rng); err != nil {
+		if _, err := task.RunWith(scratch, ds.Inputs[i%4], rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -562,9 +554,11 @@ func BenchmarkDPUInferenceWithFaults(b *testing.B) {
 	}
 	ds := bench.MakeDataset(4, 1)
 	rng := rand.New(rand.NewSource(2))
+	scratch := dpu.NewScratch()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := task.Run(ds.Inputs[i%4], rng); err != nil {
+		if _, err := task.RunWith(scratch, ds.Inputs[i%4], rng); err != nil {
 			b.Fatal(err)
 		}
 	}

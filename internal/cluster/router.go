@@ -147,8 +147,9 @@ type Router struct {
 	// satErrs interns the router's terminal shed errors so refusing a
 	// request when every pool is saturated allocates nothing — under
 	// sustained overload the refusal path runs far more often than the
-	// dispatch path, and BENCH_7 measured served throughput sagging as
-	// offered load (and thus shed-path garbage) rose.
+	// dispatch path, and BenchmarkClusterOpenLoop measured served
+	// throughput sagging as offered load (and thus shed-path garbage)
+	// rose.
 	satErrs fleet.SatErrCache
 }
 

@@ -114,9 +114,10 @@ func (t *Task) Run(img *tensor.Tensor, rng *rand.Rand) (*dpu.Result, error) {
 	return t.RunWith(nil, img, rng)
 }
 
-// RunWith is Run through a caller-owned Scratch arena (near-zero heap
-// allocations in steady state). The returned Result's Probs tensor is
-// staged in the arena and only valid until the next run on it.
+// RunWith is Run through a caller-owned Scratch arena: the batch of one
+// on the same executor as InferBatch, allocation-free on a warm arena.
+// The returned Result and its Probs tensor are staged in the arena and
+// only valid until the next run on it.
 func (t *Task) RunWith(s *dpu.Scratch, img *tensor.Tensor, rng *rand.Rand) (*dpu.Result, error) {
 	t.rt.brd.SetWorkload(t.Kernel.Workload)
 	return t.rt.dp.RunWith(s, t.Kernel, img, rng)

@@ -6,14 +6,13 @@ import (
 	"fpgauv/internal/quant"
 )
 
-// Compute backend names. Auto is resolved at compile (dnndk.Quantize)
-// time into dense or sparse per kernel; naive is not deployable — it is
-// the test oracle SetReferenceKernels forces.
+// Deployable compute backend names. Auto is resolved at compile
+// (dnndk.Quantize) time into dense or sparse per kernel. (The naive
+// oracle SetReferenceKernels forces is not deployable and has no name.)
 const (
 	BackendAuto   = "auto"
 	BackendDense  = "dense"
 	BackendSparse = "sparse"
-	BackendNaive  = "naive"
 )
 
 // ValidBackend reports whether name is a deployable backend selector
@@ -37,13 +36,10 @@ func ValidBackend(name string) bool {
 //     skipping fully-zero SparseBlockRows×1 weight blocks
 //   - naive: the direct conv/FC reference kernels (the oracle)
 //
-// Conv/Dense run one image; ConvBatch/DenseBatch run a lane's stacked
-// sub-batch with image b's accumulators at block b of *acc, in the exact
-// single-image layout.
+// ConvBatch/DenseBatch run a lane's stacked sub-batch (a lone image is
+// the batch of one) with image b's accumulators at block b of *acc, in
+// the naive kernels' output layout.
 type ComputeBackend interface {
-	Name() string
-	Conv(kn *KernelNode, x *quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error)
-	Dense(kn *KernelNode, x *quant.QTensor, acc *[]int32) (int, error)
 	ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error)
 	DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32) (int, error)
 }
@@ -77,16 +73,6 @@ func (d *DPU) bramImage(kn *KernelNode) *quant.QTensor {
 // denseBackend is the im2col+GEMM engine over dense weights.
 type denseBackend struct{}
 
-func (denseBackend) Name() string { return BackendDense }
-
-func (denseBackend) Conv(kn *KernelNode, x *quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error) {
-	return quant.Conv2DInt8Gemm(x, kn.WQ, kn.BiasQ, stride, pad, col, acc)
-}
-
-func (denseBackend) Dense(kn *KernelNode, x *quant.QTensor, acc *[]int32) (int, error) {
-	return quant.DenseInt8Gemm(x, kn.WQ, kn.BiasQ, acc)
-}
-
 func (denseBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error) {
 	return quant.Conv2DInt8GemmBatch(xs, kn.WQ, kn.BiasQ, stride, pad, col, acc)
 }
@@ -97,16 +83,6 @@ func (denseBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32
 
 // sparseBackend is the same engine over the block-sparse packed image.
 type sparseBackend struct{}
-
-func (sparseBackend) Name() string { return BackendSparse }
-
-func (sparseBackend) Conv(kn *KernelNode, x *quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error) {
-	return quant.Conv2DInt8GemmSparse(x, kn.SW, kn.BiasQ, stride, pad, col, acc)
-}
-
-func (sparseBackend) Dense(kn *KernelNode, x *quant.QTensor, acc *[]int32) (int, error) {
-	return quant.DenseInt8GemmSparse(x, kn.SW, kn.BiasQ, acc)
-}
 
 func (sparseBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error) {
 	return quant.Conv2DInt8GemmBatchSparse(xs, kn.SW, kn.BiasQ, stride, pad, col, acc)
@@ -121,32 +97,9 @@ func (sparseBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int3
 // epilogue is shared verbatim and the paths cannot drift apart.
 type naiveBackend struct{}
 
-func (naiveBackend) Name() string { return BackendNaive }
-
-func (naiveBackend) Conv(kn *KernelNode, x *quant.QTensor, stride, pad int, _ *[]int8, acc *[]int32) (quant.ConvShape, error) {
-	a, dd, err := quant.Conv2DInt8(x, kn.WQ, kn.BiasQ, stride, pad)
-	if err != nil {
-		return quant.ConvShape{}, err
-	}
-	sh := quant.ConvShape{OutC: dd[0], OutH: dd[1], OutW: dd[2]}
-	*acc = growAcc(*acc, len(a))
-	copy(*acc, a)
-	return sh, nil
-}
-
-func (naiveBackend) Dense(kn *KernelNode, x *quant.QTensor, acc *[]int32) (int, error) {
-	a, dd, err := quant.DenseInt8(x, kn.WQ, kn.BiasQ)
-	if err != nil {
-		return 0, err
-	}
-	*acc = growAcc(*acc, len(a))
-	copy(*acc, a)
-	return dd[0], nil
-}
-
 func (naiveBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, _ *[]int8, acc *[]int32) (quant.ConvShape, error) {
 	var sh quant.ConvShape
-	blockLen := 0
+	*acc = (*acc)[:0]
 	for b, x := range xs {
 		a, dd, err := quant.Conv2DInt8(x, kn.WQ, kn.BiasQ, stride, pad)
 		if err != nil {
@@ -154,18 +107,17 @@ func (naiveBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad i
 		}
 		if b == 0 {
 			sh = quant.ConvShape{OutC: dd[0], OutH: dd[1], OutW: dd[2]}
-			blockLen = len(a)
-			*acc = growAcc(*acc, blockLen*len(xs))
-		} else if len(a) != blockLen {
-			return sh, fmt.Errorf("dpu: batch image %d accumulator length %d != %d", b, len(a), blockLen)
+		} else if len(a) != sh.AccLen() {
+			return sh, fmt.Errorf("dpu: batch image %d accumulator length %d != %d", b, len(a), sh.AccLen())
 		}
-		copy((*acc)[b*blockLen:], a)
+		*acc = append(*acc, a...)
 	}
 	return sh, nil
 }
 
 func (naiveBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32) (int, error) {
 	width := 0
+	*acc = (*acc)[:0]
 	for b, x := range xs {
 		a, dd, err := quant.DenseInt8(x, kn.WQ, kn.BiasQ)
 		if err != nil {
@@ -173,19 +125,10 @@ func (naiveBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32
 		}
 		if b == 0 {
 			width = dd[0]
-			*acc = growAcc(*acc, width*len(xs))
 		} else if len(a) != width {
 			return 0, fmt.Errorf("dpu: batch image %d accumulator length %d != %d", b, len(a), width)
 		}
-		copy((*acc)[b*width:], a)
+		*acc = append(*acc, a...)
 	}
 	return width, nil
-}
-
-// growAcc resizes an accumulator arena to n, reusing capacity.
-func growAcc(a []int32, n int) []int32 {
-	if cap(a) < n {
-		return make([]int32, n)
-	}
-	return a[:n]
 }

@@ -13,32 +13,32 @@ import (
 	"fpgauv/internal/tensor"
 )
 
-// This file is the batch-native executor: one accelerator pass classifies
-// a micro-batch of images. Per layer, the batch's patch matrices stack
-// into a single multi-RHS GEMM (the FC GEMV becomes a GEMM over the
-// batch), the micro-batch is split across the DPU's cores (one lane per
-// core, each advancing its images in layer lockstep), and BRAM weight
-// faults are flipped ONCE per batch and restored after it — the
-// paper-faithful persistence semantics (a voltage-induced BRAM bit flip
-// physically persists until scrub/reboot, so every image of a batch
-// observes the same corrupted weights), which also deletes the per-image
-// flip/restore cost from the hot path and makes the parallel lanes safe:
-// the shared weight tensors are immutable while the lanes run.
+// This file is the executor: one accelerator pass classifies a
+// micro-batch of images (a lone image is the batch of one). Per layer,
+// the batch's patch matrices stack into a single multi-RHS GEMM (an FC
+// layer is a GEMM over the batch), the micro-batch is split across the
+// DPU's cores (one lane per core, each advancing its images in layer
+// lockstep), and BRAM weight faults are flipped ONCE per pass and
+// restored after it — the paper-faithful persistence semantics (a
+// voltage-induced BRAM bit flip physically persists until scrub/reboot,
+// so every image of a pass observes the same corrupted weights), which
+// also keeps flip/restore off the per-image hot path and makes the
+// parallel lanes safe: the shared weight tensors are immutable while
+// the lanes run.
 
-// batchArena is the Scratch's batched-execution extension. All state is
-// arena-owned and reused across batches, so a warm steady-state batch
-// performs near-zero heap allocations.
+// batchArena is the Scratch's pass-level state. All of it is arena-owned
+// and reused across passes, so a warm steady-state pass performs
+// near-zero heap allocations.
 type batchArena struct {
 	imgs  []*Scratch   // per-image sub-arenas (index = image ordinal)
 	lanes []*batchLane // per-DPU-core stacked GEMM buffers
 	res   []Result     // per-image staged results
-	flips []weightFlip // batch-persistent BRAM flip records
-	// eccFlips are the protected path's batch-persistent byte-restore
-	// records (restored newest-first; see Scratch.eccIdx).
-	eccFlips []byteRestore
-	rngs     []*rand.Rand // pooled per-image fault streams for callers
-	errMu    sync.Mutex
-	err      error
+	// flips are the pass's BRAM weight-corruption records, undone
+	// newest-first by restoreBatchWeights.
+	flips []byteRestore
+	rngs  []*rand.Rand // pooled per-image fault streams for callers
+	errMu sync.Mutex
+	err   error
 }
 
 // batchLane holds one core's stacked im2col/accumulator buffers and its
@@ -49,29 +49,27 @@ type batchLane struct {
 	xs  []*quant.QTensor
 }
 
-// weightFlip records one batch-persistent BRAM bit flip so the shared
-// weight tensor can be restored after the batch (XOR is its own inverse).
-type weightFlip struct {
-	w   *quant.QTensor
-	idx int32
-	bit uint8
-}
-
-// byteRestore records one protected-path byte overwrite (prior value,
-// since SECDED miscorrections are not XOR-invertible).
+// byteRestore records one corrupted weight byte by its prior value: a
+// SECDED miscorrection rewrites bits the fault never touched, so restore
+// is by value, not by XOR, and one record type serves the protected and
+// unprotected paths alike.
 type byteRestore struct {
 	w   *quant.QTensor
 	idx int32
 	old int8
 }
 
+// arena returns the pass-level state, creating it on first use.
+func (s *Scratch) arena() *batchArena {
+	if s.batch == nil {
+		s.batch = &batchArena{}
+	}
+	return s.batch
+}
+
 // batchBind readies the arena for a batch of n images across w lanes.
 func (s *Scratch) batchBind(n, w int) *batchArena {
-	ba := s.batch
-	if ba == nil {
-		ba = &batchArena{}
-		s.batch = ba
-	}
+	ba := s.arena()
 	for len(ba.imgs) < n {
 		ba.imgs = append(ba.imgs, NewScratch())
 	}
@@ -91,11 +89,7 @@ func (s *Scratch) batchBind(n, w int) *batchArena {
 // slice to RunBatch; pooling them in the arena keeps the steady-state
 // serving path allocation-free.
 func (s *Scratch) BatchRNGs(n int) []*rand.Rand {
-	ba := s.batch
-	if ba == nil {
-		ba = &batchArena{}
-		s.batch = ba
-	}
+	ba := s.arena()
 	for len(ba.rngs) < n {
 		ba.rngs = append(ba.rngs, rand.New(rand.NewSource(0)))
 	}
@@ -103,13 +97,24 @@ func (s *Scratch) BatchRNGs(n int) []*rand.Rand {
 }
 
 // RunBatch executes one micro-batch at the board's present electrical
-// conditions, returning one Result per image. rngs[i] drives image i's
-// MAC-fault stream, so a batch member is bit-exact with a single-image
-// Run that sees the same fault stream. BRAM flips are sampled once per
-// weight layer per batch from rngs[0] and persist across the whole batch
-// (restored before returning); each image's Result reports the batch's
-// flip count — the faults its pass observed — so aggregate BRAM fault
-// statistics keep the per-image expectation of the single-image path.
+// conditions, injecting timing faults per the fabric model, and returns
+// one Result per image. It returns board.ErrHung if the board is (or
+// becomes) crashed. rngs[i] drives image i's MAC-fault stream, so image
+// i of an N-batch is bit-exact with a batch of one fed the same stream.
+// BRAM flips are sampled once per weight layer per pass from rngs[0] and
+// persist across the whole batch (restored before returning); each
+// image's Result reports the pass's flip count — the faults its pass
+// observed.
+//
+// A Kernel must not be executed by two concurrent passes: BRAM fault
+// injection applies flips to the shared weight tensors, so concurrent
+// calls on the same kernel would observe each other's flips. Every
+// execution path in this module already serializes per kernel (the
+// fleet's member lock; the single-goroutine campaigns and runtimes,
+// whose reference cache has the same confinement rule). Within one pass
+// the per-core lanes do share the kernel across goroutines — that is
+// safe because the flips are applied before the lanes start and the
+// weights are immutable while they run.
 //
 // The returned Results (and their Probs tensors) are staged in the
 // Scratch and only valid until the next run on it. A nil Scratch
@@ -142,15 +147,31 @@ func (d *DPU) RunBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	return res, nil
 }
 
+// RunWith classifies one image as the batch of one, staging the
+// one-element batch in the Scratch so a warm arena allocates nothing. A
+// nil Scratch allocates a transient arena.
+func (d *DPU) RunWith(s *Scratch, k *Kernel, img *tensor.Tensor, rng *rand.Rand) (*Result, error) {
+	if s == nil {
+		s = NewScratch()
+	}
+	s.oneImg[0], s.oneRng[0] = img, rng
+	res, err := d.RunBatch(s, k, s.oneImg[:], s.oneRng[:])
+	s.oneImg[0], s.oneRng[0] = nil, nil
+	if err != nil {
+		return nil, err
+	}
+	return &res[0], nil
+}
+
 // RunBatchClean executes a micro-batch with fault injection disabled and
-// without consulting the board's electrical state — the batched
-// fault-free reference path.
+// without consulting the board's electrical state — the fault-free
+// reference path used to plant ground-truth labels.
 func (d *DPU) RunBatchClean(s *Scratch, k *Kernel, imgs []*tensor.Tensor) ([]Result, error) {
 	return d.runBatch(s, k, imgs, nil, 0, 0)
 }
 
-// runBatch is the batched execution core. rngs may be nil only when both
-// fault probabilities are zero.
+// runBatch is the execution core. rngs may be nil only when both fault
+// probabilities are zero.
 func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, pMAC, pBRAM float64) ([]Result, error) {
 	n := len(imgs)
 	if n == 0 {
@@ -173,16 +194,12 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	}
 	ba := s.batchBind(n, w)
 
-	// Persistent faults: flip once per batch, before the lanes start, so
+	// Persistent faults: flip once per pass, before the lanes start, so
 	// the shared weight tensors are immutable while the batch runs.
 	var batchFlips int64
 	var batchECC ecc.Counts
 	if pBRAM > 0 {
-		if d.prot.Enabled() {
-			batchFlips, batchECC = d.flipBatchWeightsECC(ba, k, pBRAM, rngs[0])
-		} else {
-			batchFlips = d.flipBatchWeights(ba, k, pBRAM, rngs[0])
-		}
+		batchFlips, batchECC = d.flipBatchWeights(ba, k, pBRAM, rngs[0])
 	}
 
 	// Fan the batch across the DPU cores: lane c serves the contiguous
@@ -309,10 +326,11 @@ func (d *DPU) runBatchLane(ba *batchArena, ln *batchLane, k *Kernel, imgs []*ten
 // runBatchWeightLayer executes one conv/FC node for a lane's sub-batch
 // on the kernel's compute backend: one stacked multi-RHS GEMM (dense or
 // sparse; the naive oracle loops the images into the same block
-// layout), then per-image MAC-fault injection and the fused
-// requantize(+ReLU) epilogue — each image's accumulator block has the
-// exact single-image layout, so injection and epilogue are bit-exact
-// with the per-image path.
+// layout), then per-image MAC-fault injection on the int32 accumulators
+// and the fused requantize(+ReLU) epilogue. Injection and epilogue are
+// shared by every backend, and each image's accumulator block has the
+// naive kernels' layout whatever the batch size, so the oracle and
+// engine paths — and the batch of one and of N — cannot drift apart.
 func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.Node, kn *KernelNode, k *Kernel, rngs []*rand.Rand, lo, hi int, pMAC float64) error {
 	nb := hi - lo
 	if cap(ln.xs) < nb {
@@ -368,18 +386,29 @@ func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.N
 	return nil
 }
 
-// flipBatchWeights applies the batch's persistent BRAM faults: per weight
-// layer, in node order, flips are sampled exactly as the single-image
-// path samples them (same per-layer distribution) and applied in place on
-// the shared BRAM-resident images (the packed image on the sparse
-// backend), recorded for restoreBatchWeights. The returned count is the
-// batch's total flip events.
-func (d *DPU) flipBatchWeights(ba *batchArena, k *Kernel, pBit float64, rng *rand.Rand) int64 {
+// flipBatchWeights applies the pass's persistent BRAM faults: per weight
+// layer, in node order, faults are sampled and applied in place on the
+// shared BRAM-resident images (the packed image on the sparse backend)
+// and every changed byte is recorded for restoreBatchWeights.
+// Unprotected, each fault flips one independent bit; under an enabled
+// SECDED policy faults are sampled per 64-bit word and routed through
+// the codec (eccflip.go). It returns the pass's raw flipped-bit count —
+// the physical fault rate is the same either way — and the SECDED
+// outcome split (zero when unprotected).
+func (d *DPU) flipBatchWeights(ba *batchArena, k *Kernel, pBit float64, rng *rand.Rand) (total int64, counts ecc.Counts) {
 	ba.flips = ba.flips[:0]
-	var total int64
+	protected := d.prot.Enabled()
 	for i := range k.Nodes {
 		w := d.bramImage(&k.Nodes[i])
 		if w == nil {
+			continue
+		}
+		if protected {
+			raw, c := applyProtectedFaults(d.prot, w, pBit, rng, func(idx int32, old int8) {
+				ba.flips = append(ba.flips, byteRestore{w: w, idx: idx, old: old})
+			})
+			total += raw
+			counts.Add(c)
 			continue
 		}
 		bits := int64(len(w.Data)) * int64(w.Bits)
@@ -387,25 +416,20 @@ func (d *DPU) flipBatchWeights(ba *batchArena, k *Kernel, pBit float64, rng *ran
 		for f := int64(0); f < kk; f++ {
 			idx := rng.Intn(len(w.Data))
 			bit := uint8(rng.Intn(w.Bits))
+			ba.flips = append(ba.flips, byteRestore{w: w, idx: int32(idx), old: w.Data[idx]})
 			w.Data[idx] ^= 1 << bit
-			ba.flips = append(ba.flips, weightFlip{w: w, idx: int32(idx), bit: bit})
 		}
 		total += kk
 	}
-	return total
+	return total, counts
 }
 
-// restoreBatchWeights undoes the batch's persistent flips: legacy flips
-// by XOR (its own inverse), protected-path byte records newest-first so
-// overlapping word writes unwind correctly.
+// restoreBatchWeights undoes the pass's corruption newest-first, so
+// overlapping writes to one byte or word unwind to the original codes.
 func (d *DPU) restoreBatchWeights(ba *batchArena) {
-	for _, f := range ba.flips {
-		f.w.Data[f.idx] ^= 1 << f.bit
-	}
-	ba.flips = ba.flips[:0]
-	for i := len(ba.eccFlips) - 1; i >= 0; i-- {
-		f := ba.eccFlips[i]
+	for i := len(ba.flips) - 1; i >= 0; i-- {
+		f := ba.flips[i]
 		f.w.Data[f.idx] = f.old
 	}
-	ba.eccFlips = ba.eccFlips[:0]
+	ba.flips = ba.flips[:0]
 }

@@ -17,10 +17,10 @@ func seededRNGs(base int64, n int) []*rand.Rand {
 	return rngs
 }
 
-// TestRunBatchMatchesSingleImageGrid is the batched/single equivalence
-// gate: over a batch-size grid, a batch member fed fault stream S must be
-// bit-exact (probs, prediction, fault statistics) with a single-image run
-// fed the same stream S. MAC faults are live (pBRAM=0, the serving
+// TestRunBatchMatchesSingleImageGrid is the batch-size invariance gate:
+// over a batch-size grid, image i of an N-batch fed fault stream S must
+// be bit-exact (probs, prediction, fault statistics) with the batch of
+// one fed the same stream S. MAC faults are live (pBRAM=0, the serving
 // regime: VCCBRAM stays nominal), so the per-image injection path is
 // exercised, not just the clean kernels.
 func TestRunBatchMatchesSingleImageGrid(t *testing.T) {
@@ -35,10 +35,7 @@ func TestRunBatchMatchesSingleImageGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, img := range in {
-				want, err := d.run(nil, k, img, rand.New(rand.NewSource(seed*100+int64(i)*7919)), pMAC, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := runOne(t, d, k, img, seed*100+int64(i)*7919, pMAC, 0)
 				if got[i].Pred != want.Pred {
 					t.Fatalf("batch=%d seed=%d image %d: pred %d != %d",
 						batch, seed, i, got[i].Pred, want.Pred)
@@ -60,8 +57,8 @@ func TestRunBatchMatchesSingleImageGrid(t *testing.T) {
 	}
 }
 
-// TestRunBatchCleanMatchesRunClean checks the batched fault-free path
-// against per-image clean runs.
+// TestRunBatchCleanMatchesRunClean checks the fault-free path's batch of
+// N against per-image batches of one.
 func TestRunBatchCleanMatchesRunClean(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
 	for _, batch := range []int{1, 3, 6} {
@@ -71,10 +68,7 @@ func TestRunBatchCleanMatchesRunClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, img := range in {
-			want, err := d.RunClean(k, img)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := cleanOne(t, d, nil, k, img)
 			if got[i].Pred != want.Pred {
 				t.Fatalf("batch=%d image %d: pred %d != %d", batch, i, got[i].Pred, want.Pred)
 			}

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the SECDED-protected form of the executor's BRAM
-// weight-fault injection. Where the legacy path flips independent bits
-// of the weight image, the protected path samples fault events per
+// weight-fault injection. Where the unprotected path flips independent
+// bits of the weight image, the protected path samples fault events per
 // 64-bit BRAM word (the ECC granule: 8 consecutive int8 codes), splits
 // them by multiplicity with the fabric's per-word model, and routes each
 // faulted word through the real SECDED codec: single-bit words come back
@@ -18,7 +18,7 @@ import (
 // flagged uncorrectable (corrupted data, visible flag), and ≥3-bit words
 // either alias to a silent miscorrection or are detected, exactly as the
 // decoder resolves them. Observable corruption is written in place and
-// recorded byte-wise so the per-layer / per-batch restore can undo it.
+// recorded byte-wise so the pass's restore can undo it.
 
 // applyProtectedFaults corrupts one weight tensor through the SECDED
 // policy. record is called once per changed byte with its
@@ -69,8 +69,8 @@ func applyProtectedFaults(prot *ecc.Protection, w *quant.QTensor, pBit float64, 
 					}
 				}
 				// Flat position j*Bits+b is bit b of code byte j: flips
-				// stay inside the quantized bit width, like the legacy
-				// path.
+				// stay inside the quantized bit width, like the
+				// unprotected path.
 				faulty ^= 1 << uint(chosen[f]/w.Bits*8+chosen[f]%w.Bits)
 			}
 			raw += int64(m)
@@ -99,40 +99,4 @@ func applyProtectedFaults(prot *ecc.Protection, w *quant.QTensor, pBit float64, 
 	apply(wf.Doubles, 2)
 	apply(wf.Multis, 3)
 	return raw, counts
-}
-
-// flipWeightsECC is the protected single-image form of flipWeights: it
-// corrupts one layer's weights through the SECDED policy, records the
-// outcome split on the Result, and stages byte-restore records in the
-// Scratch for restoreWeights.
-func (d *DPU) flipWeightsECC(s *Scratch, res *Result, w *quant.QTensor, pBit float64, rng *rand.Rand) int64 {
-	s.eccIdx = s.eccIdx[:0]
-	s.eccOld = s.eccOld[:0]
-	raw, counts := applyProtectedFaults(d.prot, w, pBit, rng, func(idx int32, old int8) {
-		s.eccIdx = append(s.eccIdx, idx)
-		s.eccOld = append(s.eccOld, old)
-	})
-	res.ECC.Add(counts)
-	return raw
-}
-
-// flipBatchWeightsECC is the protected form of flipBatchWeights: one
-// persistent corruption pass over every weight layer, in node order,
-// recorded on the arena for restoreBatchWeights.
-func (d *DPU) flipBatchWeightsECC(ba *batchArena, k *Kernel, pBit float64, rng *rand.Rand) (int64, ecc.Counts) {
-	ba.eccFlips = ba.eccFlips[:0]
-	var total int64
-	var counts ecc.Counts
-	for i := range k.Nodes {
-		w := d.bramImage(&k.Nodes[i])
-		if w == nil {
-			continue
-		}
-		raw, c := applyProtectedFaults(d.prot, w, pBit, rng, func(idx int32, old int8) {
-			ba.eccFlips = append(ba.eccFlips, byteRestore{w: w, idx: idx, old: old})
-		})
-		total += raw
-		counts.Add(c)
-	}
-	return total, counts
 }

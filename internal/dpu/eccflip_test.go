@@ -4,50 +4,58 @@ import (
 	"math/rand"
 	"testing"
 
+	"fpgauv/internal/board"
 	"fpgauv/internal/ecc"
+	"fpgauv/internal/pmbus"
+	"fpgauv/internal/quant"
+	"fpgauv/internal/tensor"
 )
 
-// kernelWeightSnapshot clones every weight tensor of the kernel.
-func kernelWeightSnapshot(k *Kernel) [][]int8 {
-	var out [][]int8
+// kernelWeightImages lists every weight image of the kernel a pass could
+// corrupt: the dense tensors and, on a sparse kernel, the packed images.
+func kernelWeightImages(k *Kernel) []*quant.QTensor {
+	var out []*quant.QTensor
 	for i := range k.Nodes {
 		if w := k.Nodes[i].WQ; w != nil {
-			out = append(out, append([]int8(nil), w.Data...))
+			out = append(out, w)
 		}
+		if sw := k.Nodes[i].SW; sw != nil {
+			out = append(out, sw.Packed)
+		}
+	}
+	return out
+}
+
+// kernelWeightSnapshot clones every weight image of the kernel.
+func kernelWeightSnapshot(k *Kernel) [][]int8 {
+	var out [][]int8
+	for _, w := range kernelWeightImages(k) {
+		out = append(out, append([]int8(nil), w.Data...))
 	}
 	return out
 }
 
 func checkWeightSnapshot(t *testing.T, k *Kernel, snap [][]int8, when string) {
 	t.Helper()
-	j := 0
-	for i := range k.Nodes {
-		w := k.Nodes[i].WQ
-		if w == nil {
-			continue
-		}
+	for j, w := range kernelWeightImages(k) {
 		for idx, v := range w.Data {
 			if v != snap[j][idx] {
-				t.Fatalf("%s: node %d weight[%d] = %d, want %d (restore broken)", when, i, idx, v, snap[j][idx])
+				t.Fatalf("%s: image %d weight[%d] = %d, want %d (restore broken)", when, j, idx, v, snap[j][idx])
 			}
 		}
-		j++
 	}
 }
 
 // The protected path's corrected/detected/silent counts must be
-// bit-exactly deterministic under a pinned seed, on both executors.
+// bit-exactly deterministic under a pinned seed, for the batch of one
+// and of N.
 func TestECCCountsDeterministic(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
 	d.SetProtection(ecc.NewProtection(true))
 	const pBRAM = 2e-3
 
 	run := func(seed int64) *Result {
-		res, err := d.run(nil, k, inputs[0], rand.New(rand.NewSource(seed)), 0, pBRAM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runOne(t, d, k, inputs[0], seed, 0, pBRAM)
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		a, b := run(seed), run(seed)
@@ -97,17 +105,11 @@ func TestECCCorrectedRunsMatchClean(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
 	d.SetProtection(ecc.NewProtection(true))
 	snap := kernelWeightSnapshot(k)
-	clean, err := d.RunClean(k, inputs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := cleanOne(t, d, nil, k, inputs[0])
 
 	correctedOnly, uncorrectable := 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
-		res, err := d.run(nil, k, inputs[0], rand.New(rand.NewSource(seed)), 0, 2e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runOne(t, d, k, inputs[0], seed, 0, 2e-3)
 		checkWeightSnapshot(t, k, snap, "after protected run")
 		if res.ECC.Total() == 0 {
 			continue
@@ -133,19 +135,13 @@ func TestECCCorrectedRunsMatchClean(t *testing.T) {
 }
 
 // An installed-but-disabled protection must leave the executor on the
-// legacy path, bit-exact with no protection at all.
+// unprotected path, bit-exact with no protection at all.
 func TestECCDisabledMatchesLegacy(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
 	const pBRAM = 1e-3
-	legacy, err := d.run(nil, k, inputs[0], rand.New(rand.NewSource(9)), 0, pBRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := runOne(t, d, k, inputs[0], 9, 0, pBRAM)
 	d.SetProtection(ecc.NewProtection(false))
-	disabled, err := d.run(nil, k, inputs[0], rand.New(rand.NewSource(9)), 0, pBRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
+	disabled := runOne(t, d, k, inputs[0], 9, 0, pBRAM)
 	if legacy.Pred != disabled.Pred || legacy.BRAMFaults != disabled.BRAMFaults {
 		t.Fatalf("disabled protection drifted: pred %d/%d faults %d/%d",
 			legacy.Pred, disabled.Pred, legacy.BRAMFaults, disabled.BRAMFaults)
@@ -182,5 +178,106 @@ func TestECCBatchRestoresWeights(t *testing.T) {
 	}
 	if c.Bad() == 0 {
 		t.Error("heavy corruption produced no uncorrectable/silent words; raise pBRAM")
+	}
+}
+
+// TestRestoreCoversEveryPass pins the single restore path: the dense
+// weights and the packed sparse images are byte-identical to a pre-run
+// snapshot after a batch of one and a batch of N with BRAM faults live,
+// unprotected and under SECDED with silent miscorrections, when two
+// writes landed on one word, and after a pass that failed in a lane.
+func TestRestoreCoversEveryPass(t *testing.T) {
+	const pBRAM = 2e-2
+	for _, tc := range []struct {
+		name      string
+		build     func(*testing.T) (*DPU, *Kernel, []*tensor.Tensor)
+		protected bool
+	}{
+		{"dense/unprotected", buildConvNetKernel, false},
+		{"dense/secded", buildConvNetKernel, true},
+		{"sparse/unprotected", buildSparseConvNetKernel, false},
+		{"sparse/secded", buildSparseConvNetKernel, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, k, inputs := tc.build(t)
+			prot := ecc.NewProtection(tc.protected)
+			d.SetProtection(prot)
+			snap := kernelWeightSnapshot(k)
+			s := NewScratch()
+
+			// The flip records of one pass, before the restore consumes
+			// them: some byte must have been written twice, the case only a
+			// newest-first unwind restores.
+			type site struct {
+				w   *quant.QTensor
+				idx int32
+			}
+			overlapped := false
+			for seed := int64(1); seed <= 20; seed++ {
+				ba := s.batchBind(1, 1)
+				if n, _ := d.flipBatchWeights(ba, k, pBRAM, rand.New(rand.NewSource(seed))); n == 0 {
+					t.Fatalf("seed %d: no BRAM faults at p=%g", seed, pBRAM)
+				}
+				written := map[site]bool{}
+				for _, f := range ba.flips {
+					overlapped = overlapped || written[site{f.w, f.idx}]
+					written[site{f.w, f.idx}] = true
+				}
+				d.restoreBatchWeights(ba)
+				checkWeightSnapshot(t, k, snap, "after flip+restore")
+			}
+			if !overlapped {
+				t.Error("no byte written twice in 20 seeds; raise pBRAM")
+			}
+
+			for _, n := range []int{1, 5} {
+				in := makeBatch(inputs, n)
+				for seed := int64(1); seed <= 10; seed++ {
+					if _, err := d.runBatch(s, k, in, seededRNGs(seed*311, n), 2e-4, pBRAM); err != nil {
+						t.Fatal(err)
+					}
+					checkWeightSnapshot(t, k, snap, "after a pass")
+				}
+				// A wrong-sized image fails its lane after the flips were
+				// applied (alone it gets as far as fc1's input check).
+				bad := append([]*tensor.Tensor(nil), in...)
+				bad[n-1] = tensor.New(3, 8, 8)
+				if _, err := d.runBatch(s, k, bad, seededRNGs(7, n), 2e-4, pBRAM); err == nil {
+					t.Fatal("mis-shaped image accepted")
+				}
+				checkWeightSnapshot(t, k, snap, "after a failed pass")
+			}
+			if c := prot.Counts(); tc.protected && c.Silent == 0 {
+				t.Errorf("no silent miscorrection exercised: %+v", c)
+			}
+		})
+	}
+}
+
+// TestRunWithZeroAllocs pins the batch-of-one wrapper's steady state: on
+// a warm Scratch, undervolted into the critical region so MAC faults
+// are live, RunWith allocates nothing — the governor calls it for every
+// canary image on every board every tick.
+func TestRunWithZeroAllocs(t *testing.T) {
+	d, k, inputs := buildConvNetKernel(t)
+	if err := pmbus.NewAdapter(d.Board().Bus(), board.AddrVCCINT).SetVoltageMV(550); err != nil {
+		t.Fatal(err)
+	}
+	s := NewScratch()
+	rng := rand.New(rand.NewSource(5))
+	var faults int64
+	run := func() {
+		res, err := d.RunWith(s, k, inputs[0], rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults += res.MACFaults
+	}
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("RunWith on a warm Scratch: %v allocs/run, want 0", allocs)
+	}
+	if faults == 0 {
+		t.Fatal("no MAC faults at 550 mV: the injection path was not exercised")
 	}
 }

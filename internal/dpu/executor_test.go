@@ -111,10 +111,7 @@ func buildExoticKernel(t *testing.T) (*DPU, *Kernel, *tensor.Tensor) {
 
 func TestExecutorCoversSigmoidAndBatchNorm(t *testing.T) {
 	d, k, input := buildExoticKernel(t)
-	res, err := d.RunClean(k, input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := cleanOne(t, d, nil, k, input)
 	if res.Probs.Size() != 5 {
 		t.Fatalf("output size %d", res.Probs.Size())
 	}
@@ -137,14 +134,8 @@ func TestExecutorCoversSigmoidAndBatchNorm(t *testing.T) {
 
 func TestExecutorDeterministicCleanRuns(t *testing.T) {
 	d, k, input := buildExoticKernel(t)
-	a, err := d.RunClean(k, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.RunClean(k, input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := cleanOne(t, d, nil, k, input)
+	b := cleanOne(t, d, nil, k, input)
 	for i := range a.Probs.Data() {
 		if a.Probs.Data()[i] != b.Probs.Data()[i] {
 			t.Fatal("clean runs must be bit-identical")
@@ -154,16 +145,13 @@ func TestExecutorDeterministicCleanRuns(t *testing.T) {
 
 func TestExecutorRunMatchesCleanInGuardband(t *testing.T) {
 	d, k, input := buildExoticKernel(t)
-	clean, err := d.RunClean(k, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := d.Run(k, input, rand.New(rand.NewSource(3)))
+	clean := cleanOne(t, d, nil, k, input)
+	live, err := d.RunWith(nil, k, input, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live.Pred != clean.Pred || live.MACFaults != 0 {
-		t.Fatal("at nominal voltage Run must equal RunClean with zero faults")
+		t.Fatal("at nominal voltage RunWith must equal the clean pass with zero faults")
 	}
 }
 
@@ -175,11 +163,11 @@ func TestExecutorRefusesWhenHung(t *testing.T) {
 	if err := a.SetVoltageMV(520); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(k, input, rand.New(rand.NewSource(1))); !errors.Is(err, board.ErrHung) {
+	if _, err := d.RunWith(nil, k, input, rand.New(rand.NewSource(1))); !errors.Is(err, board.ErrHung) {
 		t.Fatalf("expected ErrHung, got %v", err)
 	}
-	// RunClean is the host-side reference path and stays usable.
-	if _, err := d.RunClean(k, input); err != nil {
-		t.Fatalf("RunClean should not depend on board state: %v", err)
+	// The clean pass is the host-side reference path and stays usable.
+	if _, err := d.RunBatchClean(nil, k, []*tensor.Tensor{input}); err != nil {
+		t.Fatalf("RunBatchClean should not depend on board state: %v", err)
 	}
 }

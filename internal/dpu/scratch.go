@@ -2,35 +2,33 @@ package dpu
 
 import (
 	"fmt"
+	"math/rand"
 
 	"fpgauv/internal/nn"
 	"fpgauv/internal/quant"
 	"fpgauv/internal/tensor"
 )
 
-// Scratch is a per-worker arena for the inference hot path: the im2col
-// patch buffer, the int32 accumulator, the quantized-input staging tensor,
-// and a per-node activation ring, all keyed by the compiled kernel's
-// shapes. A Scratch is bound to one kernel at a time (re-binding on a
-// kernel change is automatic) and must never be shared by concurrent
-// runs: the fleet gives each board's worker its own arena and serializes
-// every use under the member lock.
+// Scratch is a per-worker arena for the inference hot path. The arena a
+// caller owns holds the pass-level state (batch: per-core stacked GEMM
+// buffers, staged results, weight-restore records) plus one sub-arena —
+// itself a Scratch — per image of the largest batch it has run: the
+// quantized-input staging tensor and a per-node activation ring, keyed
+// by the compiled kernel's shapes. A Scratch is bound to one kernel at a
+// time (re-binding on a kernel change is automatic) and must never be
+// shared by concurrent runs: the fleet gives each board's worker its own
+// arena and serializes every use under the member lock.
 //
 // Ownership/lifetime rules: every buffer a Scratch hands the executor —
-// including the Result (and its Probs tensor) a RunWith call returns — is
+// including the Results (and their Probs tensors) a run returns — is
 // valid only until the next run on the same Scratch. Callers that need a
-// result to outlive the next inference must copy it out (or use the
-// nil-Scratch entry points, which allocate fresh).
+// result to outlive the next inference must copy it out (or pass a nil
+// Scratch, which allocates fresh).
 type Scratch struct {
 	kernel *Kernel
 	// nodes caches the kernel's topological node list (Graph.Nodes
 	// copies on every call; the hot path reads it read-only every image).
 	nodes []nn.Node
-
-	res Result // per-run result staging
-
-	col []int8  // im2col patch matrix
-	acc []int32 // int32 GEMM accumulators
 
 	inQ  quant.QTensor    // quantized input staging
 	acts []quant.QTensor  // per-node activation ring (backing storage)
@@ -47,23 +45,15 @@ type Scratch struct {
 	// ReLU node aliases the producer's activation.
 	fuseReLU []nn.NodeID
 
-	// flipIdx/flipBit record transient BRAM read flips applied in place to
-	// the shared weight tensor, so they can be undone after the kernel
-	// call instead of paying an O(weights) clone per faulted layer.
-	flipIdx []int32
-	flipBit []uint8
-	// eccIdx/eccOld are the protected path's byte-restore records: the
-	// SECDED decoder can rewrite a word arbitrarily (miscorrections flip
-	// bits the fault never touched), so restore is by prior value, not
-	// by XOR.
-	eccIdx []int32
-	eccOld []int8
-
-	// batch is the batched-execution extension: per-image sub-arenas,
-	// per-DPU-core stacked GEMM buffers, and batch-persistent BRAM flip
-	// records. Nil until the first RunBatch on this Scratch; sized by the
-	// largest batch it has run.
+	// batch is the pass-level state: per-image sub-arenas, per-DPU-core
+	// stacked GEMM buffers, and the pass's weight-restore records. Nil
+	// until the first run on this Scratch; sized by the largest batch it
+	// has run.
 	batch *batchArena
+	// oneImg/oneRng stage RunWith's batch of one, so the governor's
+	// per-canary-image calls allocate nothing.
+	oneImg [1]*tensor.Tensor
+	oneRng [1]*rand.Rand
 }
 
 // NewScratch returns an empty arena; it sizes itself to the first kernel

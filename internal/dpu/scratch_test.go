@@ -117,6 +117,28 @@ func snapshotResult(r *Result) *Result {
 	}
 }
 
+// runOne executes img as the batch of one at forced fault probabilities
+// through a fresh arena, its fault stream seeded with seed.
+func runOne(t *testing.T, d *DPU, k *Kernel, img *tensor.Tensor, seed int64, pMAC, pBRAM float64) *Result {
+	t.Helper()
+	res, err := d.runBatch(nil, k, []*tensor.Tensor{img}, []*rand.Rand{rand.New(rand.NewSource(seed))}, pMAC, pBRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &res[0]
+}
+
+// cleanOne executes img as the fault-free batch of one through arena s
+// (nil: a fresh arena and a detached result).
+func cleanOne(t *testing.T, d *DPU, s *Scratch, k *Kernel, img *tensor.Tensor) *Result {
+	t.Helper()
+	res, err := d.RunBatchClean(s, k, []*tensor.Tensor{img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &res[0]
+}
+
 // TestGemmMatchesReferenceExecutorUnderFaults drives the full executor at
 // forced MAC and BRAM fault probabilities and requires the GEMM engine to
 // reproduce the reference path bit-for-bit: identical probabilities,
@@ -127,15 +149,9 @@ func TestGemmMatchesReferenceExecutorUnderFaults(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, img := range inputs {
 			d.SetReferenceKernels(true)
-			ref, err := d.run(nil, k, img, rand.New(rand.NewSource(seed)), pMAC, pBRAM)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := runOne(t, d, k, img, seed, pMAC, pBRAM)
 			d.SetReferenceKernels(false)
-			got, err := d.run(nil, k, img, rand.New(rand.NewSource(seed)), pMAC, pBRAM)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runOne(t, d, k, img, seed, pMAC, pBRAM)
 			if got.Pred != ref.Pred {
 				t.Fatalf("seed %d: pred %d != %d", seed, got.Pred, ref.Pred)
 			}
@@ -154,7 +170,7 @@ func TestGemmMatchesReferenceExecutorUnderFaults(t *testing.T) {
 }
 
 // TestFlipAndRestorePreservesWeights forces BRAM flips and checks the
-// shared weight tensors are bit-identical after the run: the transient
+// shared weight tensors are bit-identical after the run: the pass's
 // flips were undone without cloning.
 func TestFlipAndRestorePreservesWeights(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
@@ -166,11 +182,7 @@ func TestFlipAndRestorePreservesWeights(t *testing.T) {
 	}
 	var faults int64
 	for seed := int64(1); seed <= 20; seed++ {
-		res, err := d.run(nil, k, inputs[0], rand.New(rand.NewSource(seed)), 0, 1e-4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		faults += res.BRAMFaults
+		faults += runOne(t, d, k, inputs[0], seed, 0, 1e-4).BRAMFaults
 	}
 	if faults == 0 {
 		t.Fatal("expected BRAM flips at p=1e-4")
@@ -194,20 +206,13 @@ func TestScratchReuseDeterministic(t *testing.T) {
 	var shared []*Result
 	for round := 0; round < 2; round++ {
 		for _, img := range inputs {
-			res, err := d.RunCleanWith(s, k, img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shared = append(shared, snapshotResult(res))
+			shared = append(shared, snapshotResult(cleanOne(t, d, s, k, img)))
 		}
 	}
 	i := 0
 	for round := 0; round < 2; round++ {
 		for _, img := range inputs {
-			want, err := d.RunClean(k, img)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := cleanOne(t, d, nil, k, img)
 			got := shared[i]
 			i++
 			if got.Pred != want.Pred {
@@ -228,10 +233,9 @@ func TestScratchReuseDeterministic(t *testing.T) {
 // producer, and flatten is a shared-data view of its input.
 func TestScratchStructuralOptimizations(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
-	s := NewScratch()
-	if _, err := d.RunCleanWith(s, k, inputs[0]); err != nil {
-		t.Fatal(err)
-	}
+	arena := NewScratch()
+	cleanOne(t, d, arena, k, inputs[0])
+	s := arena.batch.imgs[0] // the image's sub-arena
 	// Node order per buildConvNetKernel:
 	// 0 conv1, 1 relu1, 2 pool1, 3 conv2, 4 relu2, 5 flatten, 6 fc1,
 	// 7 relu3, 8 fc2, 9 softmax.
@@ -262,24 +266,10 @@ func TestScratchRebindsAcrossKernels(t *testing.T) {
 	_, k2, in2 := buildExoticKernel(t)
 	s := NewScratch()
 	for i := 0; i < 2; i++ {
-		a, err := d1.RunCleanWith(s, k1, in1[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		predA := a.Pred
-		b, err := d1.RunCleanWith(s, k2, in2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		predB := b.Pred
-		wantA, err := d1.RunClean(k1, in1[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantB, err := d1.RunClean(k2, in2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		predA := cleanOne(t, d1, s, k1, in1[0]).Pred
+		predB := cleanOne(t, d1, s, k2, in2).Pred
+		wantA := cleanOne(t, d1, nil, k1, in1[0])
+		wantB := cleanOne(t, d1, nil, k2, in2)
 		if predA != wantA.Pred || predB != wantB.Pred {
 			t.Fatalf("rebind diverged: %d/%d vs %d/%d", predA, predB, wantA.Pred, wantB.Pred)
 		}

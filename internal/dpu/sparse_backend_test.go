@@ -124,8 +124,8 @@ func TestRunBatchSparseDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestSparseBackendMatchesDenseAndNaive is the dpu-level bit-exactness
 // gate: the same block-pruned weights run on the sparse backend, the
 // dense backend and the naive oracle must agree exactly — predictions,
-// probabilities and fault statistics — in both the single-image and
-// batched paths, with live MAC faults (BRAM flips land on per-backend
+// probabilities and fault statistics — for the batch of one and of N,
+// with live MAC faults (BRAM flips land on per-backend
 // images, so the MAC stream is the shared fault regime).
 func TestSparseBackendMatchesDenseAndNaive(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
@@ -147,11 +147,7 @@ func TestSparseBackendMatchesDenseAndNaive(t *testing.T) {
 		}
 		single := make([]Result, len(in))
 		for i, img := range in {
-			r, err := d.run(nil, k, img, rand.New(rand.NewSource(77+int64(i)*7919)), pMAC, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single[i] = *r
+			single[i] = *runOne(t, d, k, img, 77+int64(i)*7919, pMAC, 0)
 		}
 		return batch, single
 	}

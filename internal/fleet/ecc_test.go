@@ -131,8 +131,8 @@ func TestECCServedCountsDeterministic(t *testing.T) {
 
 // Scrubbing must restore a bit-exact fault-free weight image: corrupt
 // the deployed weights directly (the persistent-fault scenario the
-// batched executor's restore models), scrub, and require RunClean
-// reference outputs to match the pre-corruption ones.
+// executor's restore models), scrub, and require fault-free reference
+// outputs to match the pre-corruption ones.
 func TestScrubRestoresWeightImage(t *testing.T) {
 	cfg := eccTestConfig(1, true)
 	cfg.Governor = GovernorConfig{Interval: -1}

@@ -91,10 +91,10 @@ const satDepthCap = 64
 // allocation-free in the steady state: the first shed at a given cell
 // boxes one error, every later shed re-serves it. A shed storm is
 // exactly when the scheduler is overloaded, so the refusal path must
-// not add GC pressure of its own (BENCH_7 measured served throughput
-// sagging under offered overload before this existed). Concurrent
-// first-use may race two equal Stores on one cell — both values are
-// identical, so either winning is fine.
+// not add GC pressure of its own (BenchmarkClusterOpenLoop measured
+// served throughput sagging under offered overload before this
+// existed). Concurrent first-use may race two equal Stores on one cell
+// — both values are identical, so either winning is fine.
 type SatErrCache struct {
 	cells [satDepthCap + 1][len(satRetryBuckets)]atomic.Value
 }

@@ -76,12 +76,12 @@ func saturateTestPool(tb testing.TB) (*Pool, func()) {
 
 // BenchmarkShedPath measures the refusal fast path end to end: a
 // saturated pool refusing a Classify submission. This is the path a
-// scheduler runs hottest exactly when it is overloaded — BENCH_7 showed
-// served throughput sagging as offered load rose past capacity, driven
-// by shed-path garbage competing with real work for the allocator. The
-// B/op column pins the path's allocation cost: with the interned error
-// cache and the pre-allocation quickShed check it must stay at (or
-// within noise of) zero.
+// scheduler runs hottest exactly when it is overloaded —
+// BenchmarkClusterOpenLoop showed served throughput sagging as offered
+// load rose past capacity, driven by shed-path garbage competing with
+// real work for the allocator. The B/op column pins the path's
+// allocation cost: with the interned error cache and the pre-allocation
+// quickShed check it must stay at (or within noise of) zero.
 func BenchmarkShedPath(b *testing.B) {
 	p, release := saturateTestPool(b)
 	defer release()

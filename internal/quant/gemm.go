@@ -5,15 +5,15 @@ import (
 	"math"
 )
 
-// This file is the GEMM lowering of the int8 compute path: convolutions
-// run as im2col + a register-blocked int8→int32 GEMM, fully-connected
-// layers as the matching blocked GEMV, and the requantize(+ReLU) epilogue
-// writes straight into a caller-owned tensor. All three take caller-owned
-// buffers so a steady-state inference performs no heap allocation; the
-// naive kernels in kernels.go remain as the reference oracle and every
-// function here is bit-exact against them (int32 accumulation is modular,
-// and the accumulation order — bias, then taps in (inC, ky, kx) order —
-// is preserved).
+// This file is the dense inner kernel of the int8 compute path — the
+// register-blocked int8→int32 GEMM that the batch lowerings in
+// gemm_batch.go tile and parallelize — and the requantize(+ReLU)
+// epilogue that writes straight into a caller-owned tensor. Both take
+// caller-owned buffers so a steady-state inference performs no heap
+// allocation; the naive kernels in kernels.go remain as the reference
+// oracle and every lowering is bit-exact against them (int32
+// accumulation is modular, and the accumulation order — bias, then taps
+// in (inC, ky, kx) order — is preserved).
 
 // growInt8 returns buf resized to n, reusing its backing array when the
 // capacity allows.
@@ -41,23 +41,18 @@ const (
 	gemmCols = 2
 )
 
-// gemmInt8 computes dst[m×n] = a[m×k]·bt[n×k]ᵀ with int8 operands, int32
-// accumulation, and bias[i] seeding row i — the MAC-array contract of the
-// DPU's conv/FC units. bt is patch-major (each of the n columns of the
-// logical B matrix stored as a contiguous k-row), so every tile is a set
-// of dot products over contiguous memory: branch-free, store-free, and
-// bounds-check-free in the steady state.
-func gemmInt8(dst []int32, a, bt []int8, m, k, n int, bias []int32) {
-	gemmInt8Block(dst, a, bt, 0, m, 0, n, k, n, bias)
-}
-
-// gemmInt8Block is the register-blocked kernel generalized to a
-// sub-rectangle: it computes dst rows [i0,i1) × columns [j0,j1) of the
-// m×n product, with ld the row stride of dst (ld == n for a full
-// matrix). Each output element's accumulation — bias, then the full K
-// reduction in p order — is self-contained, so any macro-tile partition
-// of the output plane yields results bit-identical to one full-matrix
-// call: tiling and parallelization never change a single int32.
+// gemmInt8Block is the register-blocked kernel: it computes dst rows
+// [i0,i1) × columns [j0,j1) of dst[m×n] = a[m×k]·bt[n×k]ᵀ with int8
+// operands, int32 accumulation, and bias[i] seeding row i — the
+// MAC-array contract of the DPU's conv/FC units. ld is the row stride of
+// dst (ld == n for a full matrix). bt is patch-major (each of the n
+// columns of the logical B matrix stored as a contiguous k-row), so
+// every tile is a set of dot products over contiguous memory:
+// branch-free, store-free, and bounds-check-free in the steady state.
+// Each output element's accumulation — bias, then the full K reduction
+// in p order — is self-contained, so any macro-tile partition of the
+// output plane yields results bit-identical to one full-matrix call:
+// tiling and parallelization never change a single int32.
 func gemmInt8Block(dst []int32, a, bt []int8, i0, i1, j0, j1, k, ld int, bias []int32) {
 	i := i0
 	for ; i+gemmRows <= i1; i += gemmRows {
@@ -125,80 +120,10 @@ func gemmInt8Block(dst []int32, a, bt []int8, i0, i1, j0, j1, k, ld int, bias []
 	}
 }
 
-// Conv2DInt8Gemm is the GEMM lowering of Conv2DInt8: im2col into *col,
-// then one tiled GEMM into *acc, its macro-tiles split across the
-// worker pool (see gemm_tiled.go / parallel.go). Both buffers are grown
-// in place and reused across calls; the returned shape describes the
-// accumulator layout ((*acc)[:shape.AccLen()] is valid). Bit-exact with
-// Conv2DInt8 at every worker count.
-func Conv2DInt8Gemm(x, w *QTensor, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
-	sh, err := ConvShapeOf(x, w, biasQ, stride, pad)
-	if err != nil {
-		return sh, err
-	}
-	*col = growInt8(*col, sh.Cols()*sh.Pixels())
-	*acc = growInt32(*acc, sh.AccLen())
-	Im2colInt8(x, sh, *col)
-	gemmInt8Tiled(*acc, w.Data, *col, sh.OutC, sh.Cols(), 1, sh.Pixels(), biasQ)
-	return sh, nil
-}
-
-// DenseInt8Gemm is the blocked-GEMV lowering of DenseInt8 into a reused
-// accumulator, its output rows band-split across the worker pool; it
-// returns the output width. Bit-exact with DenseInt8 at every worker
-// count.
-func DenseInt8Gemm(x, w *QTensor, biasQ []int32, acc *[]int32) (int, error) {
-	if len(w.Dims) != 2 {
-		return 0, fmt.Errorf("quant: fc weights must be 2-D, got %v", w.Dims)
-	}
-	out, in := w.Dims[0], w.Dims[1]
-	if len(x.Data) != in {
-		return 0, fmt.Errorf("quant: fc input %d != %d", len(x.Data), in)
-	}
-	if len(biasQ) != out {
-		return 0, fmt.Errorf("quant: fc bias length %d != %d", len(biasQ), out)
-	}
-	*acc = growInt32(*acc, out)
-	denseInt8Tiled(*acc, w.Data, biasQ, x.Data, nil, in, out)
-	return out, nil
-}
-
-// denseInt8GEMV computes output rows [o0,o1) of the single-image FC
-// product dst[o] = bias[o] + w[o]·x: four weight rows stream the input
-// together so each loaded x byte feeds four MACs. Restricting the row
-// range never changes an element — each row's reduction is independent
-// and runs in input order — so row-banded parallel calls are bit-exact
-// with one full-range call.
-func denseInt8GEMV(dst []int32, wd []int8, bias []int32, xd []int8, in, o0, o1 int) {
-	o := o0
-	for ; o+gemmRows <= o1; o += gemmRows {
-		r0 := wd[(o+0)*in : (o+1)*in]
-		r1 := wd[(o+1)*in : (o+2)*in]
-		r2 := wd[(o+2)*in : (o+3)*in]
-		r3 := wd[(o+3)*in : (o+4)*in]
-		s0, s1, s2, s3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
-		for i, v := range xd {
-			xv := int32(v)
-			s0 += xv * int32(r0[i])
-			s1 += xv * int32(r1[i])
-			s2 += xv * int32(r2[i])
-			s3 += xv * int32(r3[i])
-		}
-		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
-	}
-	for ; o < o1; o++ {
-		row := wd[o*in : (o+1)*in]
-		sum := bias[o]
-		for i, v := range xd {
-			sum += int32(v) * int32(row[i])
-		}
-		dst[o] = sum
-	}
-}
-
 // RequantizeInto is the fused GEMM epilogue: it maps int32 accumulators to
 // int8 codes in dst (reusing dst's backing storage) and optionally applies
-// ReLU in the same pass. Bit-exact with Requantize followed by ReLUQ.
+// ReLU in the same pass (a clamp of negative codes to zero, so bit-exact
+// with requantizing and then applying ReLUQInto).
 func RequantizeInto(dst *QTensor, acc []int32, accScale, outScale float32, bits int, relu bool, dims ...int) error {
 	if err := validBits(bits); err != nil {
 		return err

@@ -2,16 +2,17 @@ package quant
 
 import "fmt"
 
-// This file is the batched extension of the GEMM lowering: N images'
+// This file is the GEMM lowering of the int8 compute path: N images'
 // patch matrices stack into one tall multi-RHS GEMM per convolution, and
-// the fully-connected GEMV becomes a GEMM over the batch. Both produce
-// per-image accumulator blocks laid out exactly like the single-image
-// lowerings (image b's block is acc[b*blockLen:(b+1)*blockLen]), so the
-// per-image MAC-fault injection and the requantize epilogue operate on a
-// batch member bit-exactly as they would on a lone image. Accumulation
-// order per output element — bias, then taps in (inC, ky, kx) order — is
-// identical to the single-image kernels, so every element is bit-exact
-// with Conv2DInt8Gemm / DenseInt8Gemm on the same input.
+// a fully-connected layer is a GEMM over the batch (a lone image is the
+// batch of one). Image b's accumulator block is
+// acc[b*blockLen:(b+1)*blockLen], laid out exactly like the naive
+// kernels' output, so the per-image MAC-fault injection and the
+// requantize epilogue address a batch member as they would a lone
+// image. Accumulation order per output element — bias, then taps in
+// (inC, ky, kx) order — is that of Conv2DInt8 / DenseInt8, so every
+// element is bit-exact with the naive kernels on the same input, over
+// dense and block-sparse weights alike.
 
 // validateBatch checks that every batch member shares the first image's
 // geometry (the compiled kernel admits exactly one input shape).
@@ -33,19 +34,39 @@ func validateBatch(xs []*QTensor) error {
 	return nil
 }
 
-// Conv2DInt8GemmBatch is the batched lowering of Conv2DInt8Gemm: every
-// image is unfolded into one stacked patch matrix (image b's slab at
-// col[b*Pixels*Cols:]) and a single multi-RHS GEMM computes the whole
-// batch. Image b's accumulators are
-// (*acc)[b*sh.AccLen():(b+1)*sh.AccLen()] in the single-image OutC×Pixels
-// layout. Both buffers are grown in place and reused across calls.
+// Conv2DInt8GemmBatch is the GEMM lowering of Conv2DInt8 over a batch:
+// every image is unfolded into one stacked patch matrix (image b's slab
+// at col[b*Pixels*Cols:]) and a single tiled multi-RHS GEMM, its
+// macro-tiles split across the worker pool (gemm_tiled.go), computes the
+// whole batch. Image b's accumulators are
+// (*acc)[b*sh.AccLen():(b+1)*sh.AccLen()] in the naive kernel's
+// OutC×Pixels layout. Both buffers are grown in place and reused across
+// calls. Bit-exact with Conv2DInt8 per image at every worker count.
 func Conv2DInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
+	return convGemmBatch(xs, w, weights{dense: w.Data}, biasQ, stride, pad, col, acc)
+}
+
+// Conv2DInt8GemmBatchSparse is Conv2DInt8GemmBatch over block-sparse
+// packed weights: the same stacked GEMM, skipping fully-zero weight
+// blocks. Bit-exact with Conv2DInt8GemmBatch and Conv2DInt8 on the
+// unpacked weights.
+func Conv2DInt8GemmBatchSparse(xs []*QTensor, sw *SparseWeights, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
+	hdr := sw.header()
+	return convGemmBatch(xs, &hdr, weights{sparse: sw}, biasQ, stride, pad, col, acc)
+}
+
+// convGemmBatch is the shared conv lowering; hdr carries the weights'
+// logical OIHW shape for geometry validation.
+func convGemmBatch(xs []*QTensor, hdr *QTensor, w weights, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
 	if err := validateBatch(xs); err != nil {
 		return ConvShape{}, err
 	}
-	sh, err := ConvShapeOf(xs[0], w, biasQ, stride, pad)
+	sh, err := ConvShapeOf(xs[0], hdr, biasQ, stride, pad)
 	if err != nil {
 		return sh, err
+	}
+	if sw := w.sparse; sw != nil && (sw.M != sh.OutC || sw.K != sh.Cols()) {
+		return sh, fmt.Errorf("quant: sparse conv weights %dx%d do not match geometry %dx%d", sw.M, sw.K, sh.OutC, sh.Cols())
 	}
 	n := len(xs)
 	slab := sh.Cols() * sh.Pixels()
@@ -54,46 +75,45 @@ func Conv2DInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, stride, pad i
 	for b, x := range xs {
 		Im2colInt8(x, sh, (*col)[b*slab:(b+1)*slab])
 	}
-	gemmInt8MultiRHS(*acc, w.Data, *col, sh.OutC, sh.Cols(), n, sh.Pixels(), biasQ)
+	gemmInt8Tiled(*acc, w, *col, sh.OutC, sh.Cols(), n, sh.Pixels(), biasQ)
 	return sh, nil
 }
 
-// gemmInt8MultiRHS computes the stacked product: a[m×k] against n
-// patch-major RHS slabs of pix columns each (bt[b*pix*k:] is slab b),
-// writing per-slab output blocks dst[b*m*pix:] in row-major m×pix
-// layout. The slab × macro-tile grid is split across the worker pool
-// (gemm_tiled.go); at one worker the slabs run in order, keeping the
-// small weight matrix cache-resident across the whole stacked walk
-// while each patch slab streams exactly once. Per-element accumulation
-// order is identical to gemmInt8 at every width, so the stacked product
-// is bit-exact with n independent single-image GEMMs.
-func gemmInt8MultiRHS(dst []int32, a, bt []int8, m, k, n, pix int, bias []int32) {
-	gemmInt8Tiled(dst, a, bt, m, k, n, pix, bias)
-}
-
-// DenseInt8GemmBatch is the batched lowering of DenseInt8Gemm: the
-// fully-connected GEMV becomes a multi-RHS GEMM over the batch, so each
-// weight row streams once per gemmCols-wide image tile instead of once
-// per image. Image b's accumulators are (*acc)[b*out:(b+1)*out]; the
-// buffer is grown in place and reused across calls. Bit-exact with
-// DenseInt8Gemm applied per image.
+// DenseInt8GemmBatch is the GEMM lowering of DenseInt8 over a batch:
+// each weight row streams once per gemmCols-wide image tile instead of
+// once per image, and tileM-row output bands split across the worker
+// pool. Image b's accumulators are (*acc)[b*out:(b+1)*out]; the buffer
+// is grown in place and reused across calls. Bit-exact with DenseInt8
+// per image at every worker count.
 func DenseInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, acc *[]int32) (int, error) {
-	if err := validateBatch(xs); err != nil {
-		return 0, err
-	}
 	if len(w.Dims) != 2 {
 		return 0, fmt.Errorf("quant: fc weights must be 2-D, got %v", w.Dims)
 	}
-	out, in := w.Dims[0], w.Dims[1]
+	return fcGemmBatch(xs, weights{dense: w.Data}, w.Dims[0], w.Dims[1], biasQ, acc)
+}
+
+// DenseInt8GemmBatchSparse is DenseInt8GemmBatch over block-sparse
+// packed weights.
+func DenseInt8GemmBatchSparse(xs []*QTensor, sw *SparseWeights, biasQ []int32, acc *[]int32) (int, error) {
+	if len(sw.Dims) != 2 {
+		return 0, fmt.Errorf("quant: fc weights must be 2-D, got %v", sw.Dims)
+	}
+	return fcGemmBatch(xs, weights{sparse: sw}, sw.M, sw.K, biasQ, acc)
+}
+
+// fcGemmBatch is the shared FC lowering of an out×in weight operand.
+func fcGemmBatch(xs []*QTensor, w weights, out, in int, biasQ []int32, acc *[]int32) (int, error) {
+	if err := validateBatch(xs); err != nil {
+		return 0, err
+	}
 	if len(xs[0].Data) != in {
 		return 0, fmt.Errorf("quant: fc input %d != %d", len(xs[0].Data), in)
 	}
 	if len(biasQ) != out {
 		return 0, fmt.Errorf("quant: fc bias length %d != %d", len(biasQ), out)
 	}
-	n := len(xs)
-	*acc = growInt32(*acc, n*out)
-	denseInt8Tiled(*acc, w.Data, biasQ, nil, xs, in, out)
+	*acc = growInt32(*acc, len(xs)*out)
+	denseInt8Tiled(*acc, w, biasQ, xs, in, out)
 	return out, nil
 }
 
@@ -102,7 +122,7 @@ func DenseInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, acc *[]int32) 
 // are the outer loop so each gemmRows-row group streams the batch once;
 // restricting the row range leaves every element's reduction untouched,
 // so row-banded parallel calls are bit-exact with one full-range call
-// and with DenseInt8Gemm per image.
+// and with DenseInt8 per image.
 func denseInt8Rows(dst []int32, wd []int8, bias []int32, xs []*QTensor, in, out, o0, o1 int) {
 	n := len(xs)
 	o := o0

@@ -20,8 +20,9 @@ func randomQ(t *testing.T, rng *rand.Rand, std float64, dims ...int) *QTensor {
 }
 
 // TestConvGemmBatchEquivalenceGrid checks the stacked multi-RHS conv GEMM
-// against per-image single lowerings over a batch-size × geometry grid:
-// every image's accumulator block must be bit-identical.
+// against the naive kernel per image over a batch-size × geometry grid
+// (batch 1 is the lone-image row): every image's accumulator block must
+// be bit-identical.
 func TestConvGemmBatchEquivalenceGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
@@ -50,18 +51,16 @@ func TestConvGemmBatchEquivalenceGrid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%+v batch=%d: %v", tc, batch, err)
 			}
-			var scol []int8
-			var sacc []int32
 			for b, x := range xs {
-				ssh, err := Conv2DInt8Gemm(x, w, bias, tc.stride, tc.pad, &scol, &sacc)
+				ref, dims, err := Conv2DInt8(x, w, bias, tc.stride, tc.pad)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ssh != sh {
-					t.Fatalf("%+v batch=%d: shape %+v != %+v", tc, batch, sh, ssh)
+				if dims[0] != sh.OutC || dims[1] != sh.OutH || dims[2] != sh.OutW || len(ref) != sh.AccLen() {
+					t.Fatalf("%+v batch=%d: shape %+v != %v", tc, batch, sh, dims)
 				}
 				block := acc[b*sh.AccLen() : (b+1)*sh.AccLen()]
-				for i, v := range sacc[:sh.AccLen()] {
+				for i, v := range ref {
 					if block[i] != v {
 						t.Fatalf("%+v batch=%d image %d: acc[%d] = %d, want %d",
 							tc, batch, b, i, block[i], v)
@@ -72,8 +71,8 @@ func TestConvGemmBatchEquivalenceGrid(t *testing.T) {
 	}
 }
 
-// TestDenseGemmBatchEquivalence checks the batched FC GEMM against
-// per-image blocked GEMV lowerings across batch and layer sizes.
+// TestDenseGemmBatchEquivalence checks the batched FC GEMM against the
+// naive FC kernel per image across batch and layer sizes.
 func TestDenseGemmBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, dims := range [][2]int{{3, 7}, {8, 16}, {13, 9}, {5, 64}} {
@@ -96,13 +95,13 @@ func TestDenseGemmBatchEquivalence(t *testing.T) {
 			if width != out {
 				t.Fatalf("width = %d, want %d", width, out)
 			}
-			var sacc []int32
 			for b, x := range xs {
-				if _, err := DenseInt8Gemm(x, w, bias, &sacc); err != nil {
+				ref, _, err := DenseInt8(x, w, bias)
+				if err != nil {
 					t.Fatal(err)
 				}
 				block := acc[b*out : (b+1)*out]
-				for i, v := range sacc[:out] {
+				for i, v := range ref {
 					if block[i] != v {
 						t.Fatalf("out=%d in=%d batch=%d image %d: acc[%d] = %d, want %d",
 							out, in, batch, b, i, block[i], v)
@@ -114,7 +113,7 @@ func TestDenseGemmBatchEquivalence(t *testing.T) {
 }
 
 // TestConvGemmBatchFuzz drives random geometries and batch sizes through
-// the stacked lowering against the single-image oracle.
+// the stacked lowering against the naive oracle.
 func TestConvGemmBatchFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for iter := 0; iter < 40; iter++ {
@@ -136,21 +135,20 @@ func TestConvGemmBatchFuzz(t *testing.T) {
 		var acc []int32
 		sh, err := Conv2DInt8GemmBatch(xs, w, bias, stride, pad, &col, &acc)
 		if err != nil {
-			// Some random geometries collapse; the single path must
+			// Some random geometries collapse; the naive kernel must
 			// reject them identically.
-			if _, serr := Conv2DInt8Gemm(xs[0], w, bias, stride, pad, new([]int8), new([]int32)); serr == nil {
-				t.Fatalf("iter %d: batch rejected what single accepted: %v", iter, err)
+			if _, _, serr := Conv2DInt8(xs[0], w, bias, stride, pad); serr == nil {
+				t.Fatalf("iter %d: batch rejected what naive accepted: %v", iter, err)
 			}
 			continue
 		}
-		var scol []int8
-		var sacc []int32
 		for b, x := range xs {
-			if _, err := Conv2DInt8Gemm(x, w, bias, stride, pad, &scol, &sacc); err != nil {
+			ref, _, err := Conv2DInt8(x, w, bias, stride, pad)
+			if err != nil {
 				t.Fatal(err)
 			}
 			block := acc[b*sh.AccLen() : (b+1)*sh.AccLen()]
-			for i, v := range sacc[:sh.AccLen()] {
+			for i, v := range ref {
 				if block[i] != v {
 					t.Fatalf("iter %d image %d: acc[%d] = %d, want %d", iter, b, i, block[i], v)
 				}

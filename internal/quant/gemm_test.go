@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,14 +31,15 @@ func randBias(rng *rand.Rand, n int) []int32 {
 	return b
 }
 
-// checkConvEquivalence runs both conv paths and requires bit-exact
-// accumulators and identical shapes/errors.
+// checkConvEquivalence runs the naive kernel and the GEMM lowering (a
+// one-image batch) and requires bit-exact accumulators and identical
+// shapes/errors.
 func checkConvEquivalence(t *testing.T, x, w *QTensor, bias []int32, stride, pad int) {
 	t.Helper()
 	ref, refDims, refErr := Conv2DInt8(x, w, bias, stride, pad)
 	var col []int8
 	var acc []int32
-	sh, gemmErr := Conv2DInt8Gemm(x, w, bias, stride, pad, &col, &acc)
+	sh, gemmErr := Conv2DInt8GemmBatch([]*QTensor{x}, w, bias, stride, pad, &col, &acc)
 	if (refErr == nil) != (gemmErr == nil) {
 		t.Fatalf("error mismatch: naive=%v gemm=%v", refErr, gemmErr)
 	}
@@ -110,7 +112,7 @@ func TestConvGemmEquivalenceFuzz(t *testing.T) {
 		wt := randQ(rng, bits, outC, inC, k, k)
 		bias := randBias(rng, outC)
 		ref, refDims, refErr := Conv2DInt8(x, wt, bias, stride, pad)
-		sh, gemmErr := Conv2DInt8Gemm(x, wt, bias, stride, pad, &col, &acc)
+		sh, gemmErr := Conv2DInt8GemmBatch([]*QTensor{x}, wt, bias, stride, pad, &col, &acc)
 		if (refErr == nil) != (gemmErr == nil) {
 			t.Fatalf("iter %d: error mismatch: naive=%v gemm=%v", iter, refErr, gemmErr)
 		}
@@ -128,8 +130,9 @@ func TestConvGemmEquivalenceFuzz(t *testing.T) {
 	}
 }
 
-// TestDenseGemmEquivalence covers the blocked GEMV against the naive FC
-// kernel, including widths around the register-blocking factor.
+// TestDenseGemmEquivalence covers the FC lowering's one-image batch
+// against the naive FC kernel, including widths around the
+// register-blocking factor.
 func TestDenseGemmEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var acc []int32
@@ -143,7 +146,7 @@ func TestDenseGemmEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		width, err := DenseInt8Gemm(x, w, bias, &acc)
+		width, err := DenseInt8GemmBatch([]*QTensor{x}, w, bias, &acc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,20 +155,21 @@ func TestDenseGemmEquivalence(t *testing.T) {
 		}
 		for i := range ref {
 			if acc[i] != ref[i] {
-				t.Fatalf("iter %d: acc[%d] gemv %d != naive %d", iter, i, acc[i], ref[i])
+				t.Fatalf("iter %d: acc[%d] gemm %d != naive %d", iter, i, acc[i], ref[i])
 			}
 		}
 	}
 	// Validation parity with the naive kernel.
 	x := randQ(rng, 8, 10)
 	w := randQ(rng, 8, 4, 12)
-	if _, err := DenseInt8Gemm(x, w, randBias(rng, 4), &acc); err == nil {
+	if _, err := DenseInt8GemmBatch([]*QTensor{x}, w, randBias(rng, 4), &acc); err == nil {
 		t.Fatal("size mismatch must fail")
 	}
 }
 
 // TestRequantizeIntoMatchesReference checks the fused epilogue against
-// Requantize (+ReLUQ) and its buffer-reuse semantics.
+// the definition — clamp(round-to-even(acc·accScale/outScale)), then
+// ReLUQInto for the fused-ReLU form — and its buffer-reuse semantics.
 func TestRequantizeIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	acc := make([]int32, 500)
@@ -174,32 +178,23 @@ func TestRequantizeIntoMatchesReference(t *testing.T) {
 	}
 	dims := []int{5, 10, 10}
 	for _, bits := range []int{8, 4, 2} {
-		ref, err := Requantize(acc, dims, 0.003, 0.07, bits)
-		if err != nil {
-			t.Fatal(err)
+		ref := &QTensor{Data: make([]int8, len(acc)), Dims: dims, Scale: 0.07, Bits: bits}
+		ratio := float64(float32(0.003)) / float64(float32(0.07))
+		for i, a := range acc {
+			ref.Data[i] = clampToInt8(int32(math.RoundToEven(float64(a)*ratio)), QMax(bits))
 		}
 		var dst QTensor
 		if err := RequantizeInto(&dst, acc, 0.003, 0.07, bits, false, dims...); err != nil {
 			t.Fatal(err)
 		}
-		for i := range ref.Data {
-			if dst.Data[i] != ref.Data[i] {
-				t.Fatalf("bits=%d: code[%d] %d != %d", bits, i, dst.Data[i], ref.Data[i])
-			}
-		}
-		// Fused ReLU == Requantize then ReLUQ.
-		refRelu := ReLUQ(ref.Clone())
+		assertSameQ(t, fmt.Sprintf("bits=%d", bits), &dst, ref)
+		// Fused ReLU == requantize then ReLU.
+		var refRelu QTensor
+		ReLUQInto(&refRelu, ref)
 		if err := RequantizeInto(&dst, acc, 0.003, 0.07, bits, true, dims...); err != nil {
 			t.Fatal(err)
 		}
-		for i := range refRelu.Data {
-			if dst.Data[i] != refRelu.Data[i] {
-				t.Fatalf("bits=%d relu: code[%d] %d != %d", bits, i, dst.Data[i], refRelu.Data[i])
-			}
-		}
-		if len(dst.Dims) != 3 || dst.Dims[0] != 5 {
-			t.Fatalf("dims not written: %v", dst.Dims)
-		}
+		assertSameQ(t, fmt.Sprintf("bits=%d relu", bits), &dst, &refRelu)
 	}
 	var dst QTensor
 	if err := RequantizeInto(&dst, acc, 0.003, -1, 8, false, dims...); err == nil {
@@ -210,58 +205,65 @@ func TestRequantizeIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestIntoVariantsMatchAllocating pins the refactored pool/add/concat/
-// batchnorm Into kernels to their allocating counterparts.
+// TestIntoVariantsMatchAllocating pins the pool/add/concat/relu Into
+// kernels' reuse contract: a destination warmed on a larger, unrelated
+// tensor must come out identical to a fresh destination (the allocating
+// case) — no stale data, dims or header survives reuse.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	dirty := func() *QTensor {
+		d := randQ(rng, 4, 9, 11, 11)
+		d.Scale = 7
+		return d
+	}
 	x := randQ(rng, 8, 6, 9, 9)
 	for _, global := range []bool{false, true} {
-		want, err := MaxPoolQ(x, 2, 2, global)
-		if err != nil {
+		var want QTensor
+		if err := MaxPoolQInto(&want, x, 2, 2, global); err != nil {
 			t.Fatal(err)
 		}
-		var got QTensor
-		if err := MaxPoolQInto(&got, x, 2, 2, global); err != nil {
+		got := dirty()
+		if err := MaxPoolQInto(got, x, 2, 2, global); err != nil {
 			t.Fatal(err)
 		}
-		assertSameQ(t, "maxpool", &got, want)
-		want, err = AvgPoolQ(x, 3, 2, global)
-		if err != nil {
+		assertSameQ(t, "maxpool", got, &want)
+		if err := AvgPoolQInto(&want, x, 3, 2, global); err != nil {
 			t.Fatal(err)
 		}
-		if err := AvgPoolQInto(&got, x, 3, 2, global); err != nil {
+		if err := AvgPoolQInto(got, x, 3, 2, global); err != nil {
 			t.Fatal(err)
 		}
-		assertSameQ(t, "avgpool", &got, want)
+		assertSameQ(t, "avgpool", got, &want)
 	}
 
 	a := randQ(rng, 8, 4, 5, 5)
 	b := randQ(rng, 8, 4, 5, 5)
 	b.Scale = 0.09
-	wantAdd, err := AddQ(a, b, 0.11, 8)
-	if err != nil {
+	var wantAdd QTensor
+	if err := AddQInto(&wantAdd, a, b, 0.11, 8); err != nil {
 		t.Fatal(err)
 	}
-	var gotAdd QTensor
-	if err := AddQInto(&gotAdd, a, b, 0.11, 8); err != nil {
+	gotAdd := dirty()
+	if err := AddQInto(gotAdd, a, b, 0.11, 8); err != nil {
 		t.Fatal(err)
 	}
-	assertSameQ(t, "add", &gotAdd, wantAdd)
+	assertSameQ(t, "add", gotAdd, &wantAdd)
 
-	wantCat, err := ConcatQ([]*QTensor{a, b}, 0.13, 8)
-	if err != nil {
+	var wantCat QTensor
+	if err := ConcatQInto(&wantCat, []*QTensor{a, b}, 0.13, 8); err != nil {
 		t.Fatal(err)
 	}
-	var gotCat QTensor
-	if err := ConcatQInto(&gotCat, []*QTensor{a, b}, 0.13, 8); err != nil {
+	gotCat := dirty()
+	if err := ConcatQInto(gotCat, []*QTensor{a, b}, 0.13, 8); err != nil {
 		t.Fatal(err)
 	}
-	assertSameQ(t, "concat", &gotCat, wantCat)
+	assertSameQ(t, "concat", gotCat, &wantCat)
 
-	var gotRelu QTensor
-	ReLUQInto(&gotRelu, a)
-	wantRelu := ReLUQ(a.Clone())
-	assertSameQ(t, "relu", &gotRelu, wantRelu)
+	var wantRelu QTensor
+	ReLUQInto(&wantRelu, a)
+	gotRelu := dirty()
+	ReLUQInto(gotRelu, a)
+	assertSameQ(t, "relu", gotRelu, &wantRelu)
 }
 
 func assertSameQ(t *testing.T, what string, got, want *QTensor) {

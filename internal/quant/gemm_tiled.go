@@ -3,10 +3,11 @@ package quant
 import "sync"
 
 // This file is the macro-tile layer between the GEMM entry points and
-// the worker pool in parallel.go: the register-blocked kernel
-// (gemmInt8Block) becomes the inner kernel of a cache-blocked loop over
-// tileM×tileN output macro-tiles, and those tiles are the unit of work
-// split across RunTiles. The partition is strictly over output
+// the worker pool in parallel.go: the register-blocked kernels
+// (gemmInt8Block, or sparseGemmBlock over packed weights) become the
+// inner kernel of a cache-blocked loop over tileM×tileN output
+// macro-tiles, and those tiles are the unit of work split across
+// RunTiles. The partition is strictly over output
 // coordinates (M rows × N columns × batch slabs) — K is NEVER split, so
 // each output element's full dot product runs on exactly one worker in
 // the same modular-int32 order as the serial kernel, which is what
@@ -22,19 +23,51 @@ import "sync"
 // this repo's layer shapes (k up to a few thousand) — while the
 // benchmark conv (64×1024 output) still splits into 32 tiles, enough
 // granularity for the atomic cursor to balance ragged finishes. tileM
-// doubles as the row-tile height of the dense (FC) split.
+// doubles as the row-band height of the FC split, and is a multiple of
+// SparseBlockRows, so tile boundaries never split a skip block.
 const (
 	tileM = 32
 	tileN = 64
 )
 
+// weights is a GEMM's left operand in the form its kernel was compiled
+// for: the dense row-major code matrix, or (sparse set) the block-sparse
+// packed image. It picks the inner block kernel once per tile; the two
+// kernels stay separate because the bitmap walk costs the dense case
+// ~6% (DESIGN.md, "Dense and sparse inner kernels").
+type weights struct {
+	dense  []int8
+	sparse *SparseWeights
+}
+
+// gemmBlock computes dst rows [i0,i1) × columns [j0,j1) against the
+// patch-major RHS bt (see gemmInt8Block).
+func (w weights) gemmBlock(dst []int32, bt []int8, i0, i1, j0, j1, k, ld int, bias []int32) {
+	if w.sparse != nil {
+		sparseGemmBlock(dst, w.sparse, bt, i0, i1, j0, j1, ld, bias)
+		return
+	}
+	gemmInt8Block(dst, w.dense, bt, i0, i1, j0, j1, k, ld, bias)
+}
+
+// fcRows computes output rows [o0,o1) of the batched FC product (see
+// denseInt8Rows).
+func (w weights) fcRows(dst []int32, bias []int32, xs []*QTensor, in, out, o0, o1 int) {
+	if w.sparse != nil {
+		sparseDenseRows(dst, w.sparse, bias, xs, out, o0, o1)
+		return
+	}
+	denseInt8Rows(dst, w.dense, bias, xs, in, out, o0, o1)
+}
+
 // gemmJob is the pooled work descriptor of one (possibly multi-slab)
-// tiled GEMM: tile index t decomposes as (slab, row-tile, col-tile) and
-// maps to a gemmInt8Block call on that sub-rectangle.
+// tiled conv GEMM: tile index t decomposes as (slab, row-tile,
+// col-tile) and maps to one block-kernel call on that sub-rectangle.
 type gemmJob struct {
 	TileJob
 	dst      []int32
-	a, bt    []int8
+	w        weights
+	bt       []int8
 	bias     []int32
 	m, k, n  int
 	mt, nt   int // row/column tile counts per slab
@@ -47,7 +80,7 @@ var gemmJobs = sync.Pool{New: func() any { return new(gemmJob) }}
 func (g *gemmJob) Job() *TileJob { return &g.TileJob }
 
 func (g *gemmJob) Recycle() {
-	g.dst, g.a, g.bt, g.bias = nil, nil, nil, nil
+	g.dst, g.w, g.bt, g.bias = nil, weights{}, nil, nil
 	gemmJobs.Put(g)
 }
 
@@ -63,44 +96,43 @@ func (g *gemmJob) Tile(t int) {
 	j1 := min(j0+tileN, g.n)
 	dst := g.dst[b*g.blockLen : (b+1)*g.blockLen]
 	bt := g.bt[b*g.slabLen : (b+1)*g.slabLen]
-	gemmInt8Block(dst, g.a, bt, i0, i1, j0, j1, g.k, g.n, g.bias)
+	g.w.gemmBlock(dst, bt, i0, i1, j0, j1, g.k, g.n, g.bias)
 }
 
 // gemmInt8Tiled computes slabs independent products dst[b] =
-// a[m×k]·bt[b][n×k]ᵀ (the multi-RHS stacked layout of
-// gemmInt8MultiRHS; slabs == 1 is the single-image case), splitting the
-// slab × macro-tile grid across the worker pool. With one effective
-// worker — or a problem too small to tile — it falls through to the
-// serial kernel unchanged, so the 1-worker path is byte-for-byte
-// today's gemmInt8 loop.
-func gemmInt8Tiled(dst []int32, a, bt []int8, m, k, slabs, n int, bias []int32) {
+// w[m×k]·bt[b][n×k]ᵀ — n patch-major RHS columns per slab (bt[b*n*k:]
+// is slab b), per-slab output blocks dst[b*m*n:] in row-major m×n
+// layout — splitting the slab × macro-tile grid across the worker pool.
+// With one effective worker, or a problem too small to tile, the slabs
+// run in order through the block kernel, keeping the small weight
+// matrix cache-resident across the whole stacked walk while each patch
+// slab streams exactly once.
+func gemmInt8Tiled(dst []int32, w weights, bt []int8, m, k, slabs, n int, bias []int32) {
 	mt := (m + tileM - 1) / tileM
 	nt := (n + tileN - 1) / tileN
 	tiles := slabs * mt * nt
 	if tiles <= 1 || Workers() <= 1 {
 		block, slab := m*n, n*k
 		for b := 0; b < slabs; b++ {
-			gemmInt8(dst[b*block:(b+1)*block], a, bt[b*slab:(b+1)*slab], m, k, n, bias)
+			w.gemmBlock(dst[b*block:(b+1)*block], bt[b*slab:(b+1)*slab], 0, m, 0, n, k, n, bias)
 		}
 		return
 	}
 	g := gemmJobs.Get().(*gemmJob)
-	g.dst, g.a, g.bt, g.bias = dst, a, bt, bias
+	g.dst, g.w, g.bt, g.bias = dst, w, bt, bias
 	g.m, g.k, g.n = m, k, n
 	g.mt, g.nt = mt, nt
 	g.blockLen, g.slabLen = m*n, n*k
 	RunTiles(tiles, g)
 }
 
-// denseJob is the pooled work descriptor of a row-tiled FC product:
-// tile t covers output rows [t*tileM, (t+1)*tileM). Exactly one of
-// x (single image) or xs (batch) is set.
+// denseJob is the pooled work descriptor of a row-banded batched FC
+// product: tile t covers output rows [t*tileM, (t+1)*tileM).
 type denseJob struct {
 	TileJob
 	dst     []int32
-	w       []int8
+	w       weights
 	bias    []int32
-	x       []int8
 	xs      []*QTensor
 	in, out int
 }
@@ -110,38 +142,28 @@ var denseJobs = sync.Pool{New: func() any { return new(denseJob) }}
 func (d *denseJob) Job() *TileJob { return &d.TileJob }
 
 func (d *denseJob) Recycle() {
-	d.dst, d.w, d.bias, d.x, d.xs = nil, nil, nil, nil, nil
+	d.dst, d.w, d.bias, d.xs = nil, weights{}, nil, nil
 	denseJobs.Put(d)
 }
 
 func (d *denseJob) Tile(t int) {
 	o0 := t * tileM
-	o1 := min(o0+tileM, d.out)
-	if d.x != nil {
-		denseInt8GEMV(d.dst, d.w, d.bias, d.x, d.in, o0, o1)
-		return
-	}
-	denseInt8Rows(d.dst, d.w, d.bias, d.xs, d.in, d.out, o0, o1)
+	d.w.fcRows(d.dst, d.bias, d.xs, d.in, d.out, o0, min(o0+tileM, d.out))
 }
 
-// denseInt8Tiled computes the FC product for one image (xd set) or a
-// batch (xs set), splitting tileM-row output bands across the worker
-// pool. Row bands partition only the output dimension — every band
-// streams the full input(s) — so each output element is computed by one
-// worker in serial accumulation order: bit-exact at every width.
-func denseInt8Tiled(dst []int32, wd []int8, bias []int32, xd []int8, xs []*QTensor, in, out int) {
+// denseInt8Tiled computes the batched FC product, splitting tileM-row
+// output bands across the worker pool. Row bands partition only the
+// output dimension — every band streams the full inputs — so each
+// output element is computed by one worker in serial accumulation
+// order: bit-exact at every width.
+func denseInt8Tiled(dst []int32, w weights, bias []int32, xs []*QTensor, in, out int) {
 	tiles := (out + tileM - 1) / tileM
 	if tiles <= 1 || Workers() <= 1 {
-		if xs == nil {
-			denseInt8GEMV(dst, wd, bias, xd, in, 0, out)
-			return
-		}
-		denseInt8Rows(dst, wd, bias, xs, in, out, 0, out)
+		w.fcRows(dst, bias, xs, in, out, 0, out)
 		return
 	}
 	d := denseJobs.Get().(*denseJob)
-	d.dst, d.w, d.bias = dst, wd, bias
-	d.x, d.xs = xd, xs
+	d.dst, d.w, d.bias, d.xs = dst, w, bias, xs
 	d.in, d.out = in, out
 	RunTiles(tiles, d)
 }

@@ -92,16 +92,6 @@ func DenseInt8(x, w *QTensor, biasQ []int32) (acc []int32, dims []int, err error
 	return acc, []int{out}, nil
 }
 
-// ReLUQ clamps negative codes to zero in place and returns q.
-func ReLUQ(q *QTensor) *QTensor {
-	for i, v := range q.Data {
-		if v < 0 {
-			q.Data[i] = 0
-		}
-	}
-	return q
-}
-
 // ReLUQInto writes relu(x) into dst, reusing dst's backing storage.
 func ReLUQInto(dst, x *QTensor) {
 	dst.Data = growInt8(dst.Data, len(x.Data))
@@ -116,31 +106,15 @@ func ReLUQInto(dst, x *QTensor) {
 	}
 }
 
-// MaxPoolQ applies max pooling in the quantized domain (scale preserved).
-// Global pools the full spatial extent.
-func MaxPoolQ(x *QTensor, kernel, stride int, global bool) (*QTensor, error) {
-	out := &QTensor{}
-	if err := MaxPoolQInto(out, x, kernel, stride, global); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AvgPoolQ applies average pooling with round-to-nearest integer division.
-func AvgPoolQ(x *QTensor, kernel, stride int, global bool) (*QTensor, error) {
-	out := &QTensor{}
-	if err := AvgPoolQInto(out, x, kernel, stride, global); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MaxPoolQInto is MaxPoolQ into a reused destination tensor.
+// MaxPoolQInto applies max pooling in the quantized domain (scale
+// preserved) into a reused destination tensor. Global pools the full
+// spatial extent.
 func MaxPoolQInto(dst, x *QTensor, kernel, stride int, global bool) error {
 	return poolQInto(dst, x, kernel, stride, global, true)
 }
 
-// AvgPoolQInto is AvgPoolQ into a reused destination tensor.
+// AvgPoolQInto is MaxPoolQInto for average pooling, with
+// round-to-nearest integer division.
 func AvgPoolQInto(dst, x *QTensor, kernel, stride int, global bool) error {
 	return poolQInto(dst, x, kernel, stride, global, false)
 }
@@ -217,18 +191,10 @@ func poolQInto(dst, x *QTensor, kernel, stride int, global, isMax bool) error {
 	return nil
 }
 
-// AddQ adds quantized tensors element-wise, requantizing both operands to
-// outScale at the given precision (the DPU's eltwise unit).
-func AddQ(a, b *QTensor, outScale float32, bits int) (*QTensor, error) {
-	out := &QTensor{}
-	if err := AddQInto(out, a, b, outScale, bits); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AddQInto is AddQ into a reused destination tensor. dst may alias a (the
-// accumulation pattern of a multi-input eltwise node).
+// AddQInto adds quantized tensors element-wise into a reused
+// destination tensor, requantizing both operands to outScale at the given
+// precision (the DPU's eltwise unit). dst may alias a (the accumulation
+// pattern of a multi-input eltwise node).
 func AddQInto(dst, a, b *QTensor, outScale float32, bits int) error {
 	if err := validBits(bits); err != nil {
 		return err
@@ -289,17 +255,8 @@ func BatchNormQInto(dst, x *QTensor, scale, shift []float32, outScale float32, b
 	}
 }
 
-// ConcatQ concatenates along channels, requantizing every input to
-// outScale.
-func ConcatQ(inputs []*QTensor, outScale float32, bits int) (*QTensor, error) {
-	out := &QTensor{}
-	if err := ConcatQInto(out, inputs, outScale, bits); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ConcatQInto is ConcatQ into a reused destination tensor.
+// ConcatQInto concatenates along channels into a reused destination
+// tensor, requantizing every input to outScale.
 func ConcatQInto(dst *QTensor, inputs []*QTensor, outScale float32, bits int) error {
 	if err := validBits(bits); err != nil {
 		return err

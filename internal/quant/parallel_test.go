@@ -66,12 +66,12 @@ func TestTiledGemmBitExactGrid(t *testing.T) {
 				bias := randBias(rng, m)
 				want := gemmOracle(a, bt, m, k, n, bias)
 				serial := make([]int32, m*n)
-				gemmInt8(serial, a, bt, m, k, n, bias)
+				gemmInt8Block(serial, a, bt, 0, m, 0, n, k, n, bias)
 				assertSameInt32(t, fmt.Sprintf("serial m=%d n=%d k=%d", m, n, k), serial, want)
 				for _, w := range []int{1, 2, 3, 4, 5} {
 					SetWorkers(w)
 					got := make([]int32, m*n)
-					gemmInt8Tiled(got, a, bt, m, k, 1, n, bias)
+					gemmInt8Tiled(got, weights{dense: a}, bt, m, k, 1, n, bias)
 					assertSameInt32(t, fmt.Sprintf("tiled m=%d n=%d k=%d workers=%d", m, n, k, w), got, want)
 				}
 				SetWorkers(0)
@@ -96,7 +96,7 @@ func TestTiledMultiRHSBitExactFuzz(t *testing.T) {
 		bias := randBias(rng, m)
 		SetWorkers(1 + rng.Intn(6))
 		got := make([]int32, slabs*m*pix)
-		gemmInt8MultiRHS(got, a, bt, m, k, slabs, pix, bias)
+		gemmInt8Tiled(got, weights{dense: a}, bt, m, k, slabs, pix, bias)
 		for b := 0; b < slabs; b++ {
 			want := gemmOracle(a, bt[b*pix*k:(b+1)*pix*k], m, k, pix, bias)
 			assertSameInt32(t, fmt.Sprintf("iter=%d slab=%d m=%d k=%d pix=%d workers=%d", iter, b, m, k, pix, Workers()),
@@ -105,10 +105,10 @@ func TestTiledMultiRHSBitExactFuzz(t *testing.T) {
 	}
 }
 
-// TestTiledDenseBitExact walks the FC lowerings — single image and
-// batch — across ragged output widths and worker counts, against the
-// naive oracle (an FC layer is the n=1-pixel GEMM with x as the lone
-// patch column).
+// TestTiledDenseBitExact walks the FC lowering — the batch of one and a
+// batch of three — across ragged output widths and worker counts,
+// against the naive oracle (an FC layer is the n=1-pixel GEMM with x as
+// the lone patch column).
 func TestTiledDenseBitExact(t *testing.T) {
 	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(888))
@@ -125,7 +125,7 @@ func TestTiledDenseBitExact(t *testing.T) {
 			for _, nw := range []int{1, 2, 4, 5} {
 				SetWorkers(nw)
 				var acc []int32
-				if _, err := DenseInt8Gemm(xs[0], w, bias, &acc); err != nil {
+				if _, err := DenseInt8GemmBatch(xs[:1], w, bias, &acc); err != nil {
 					t.Fatal(err)
 				}
 				want := gemmOracle(w.Data, xs[0].Data, out, in, 1, bias)

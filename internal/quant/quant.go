@@ -118,16 +118,6 @@ func (q *QTensor) Clone() *QTensor {
 	return out
 }
 
-// Requantize maps int32 accumulators with scale accScale to an int8
-// tensor with scale outScale at the given precision.
-func Requantize(acc []int32, dims []int, accScale, outScale float32, bits int) (*QTensor, error) {
-	q := &QTensor{}
-	if err := RequantizeInto(q, acc, accScale, outScale, bits, false, dims...); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
 // QuantizeBias folds a float bias vector into the accumulator domain
 // (bias / accScale, rounded), the way DPU bias addition works.
 func QuantizeBias(bias []float32, accScale float32) []int32 {

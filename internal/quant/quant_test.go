@@ -127,8 +127,8 @@ func TestConvInt8MatchesFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	outScale := ScaleFor(ref.MaxAbs(), 8)
-	got, err := Requantize(acc, dims, accScale, outScale, 8)
-	if err != nil {
+	got := &QTensor{}
+	if err := RequantizeInto(got, acc, accScale, outScale, 8, false, dims...); err != nil {
 		t.Fatal(err)
 	}
 	back := got.Dequantize()
@@ -161,8 +161,8 @@ func TestDenseInt8MatchesFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	outScale := ScaleFor(ref.MaxAbs(), 8)
-	got, err := Requantize(acc, dims, accScale, outScale, 8)
-	if err != nil {
+	got := &QTensor{}
+	if err := RequantizeInto(got, acc, accScale, outScale, 8, false, dims...); err != nil {
 		t.Fatal(err)
 	}
 	back := got.Dequantize()
@@ -197,8 +197,9 @@ func TestKernelValidation(t *testing.T) {
 
 func TestReLUQ(t *testing.T) {
 	q := &QTensor{Data: []int8{-5, 0, 5}, Dims: []int{3}, Scale: 1, Bits: 8}
-	ReLUQ(q)
-	if q.Data[0] != 0 || q.Data[2] != 5 {
+	var out QTensor
+	ReLUQInto(&out, q)
+	if out.Data[0] != 0 || out.Data[2] != 5 {
 		t.Fatal("reluq")
 	}
 }
@@ -209,22 +210,20 @@ func TestPoolQ(t *testing.T) {
 		Dims:  []int{1, 4, 4},
 		Scale: 0.5, Bits: 8,
 	}
-	mp, err := MaxPoolQ(q, 2, 2, false)
-	if err != nil {
+	mp, ap, g := &QTensor{}, &QTensor{}, &QTensor{}
+	if err := MaxPoolQInto(mp, q, 2, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if mp.Data[0] != 6 || mp.Data[3] != 16 || mp.Scale != 0.5 {
 		t.Fatalf("maxpoolq %v", mp.Data)
 	}
-	ap, err := AvgPoolQ(q, 2, 2, false)
-	if err != nil {
+	if err := AvgPoolQInto(ap, q, 2, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if ap.Data[0] != 4 { // (1+2+5+6)/4 = 3.5 → rounds away from zero to 4
 		t.Fatalf("avgpoolq[0] = %d", ap.Data[0])
 	}
-	g, err := AvgPoolQ(q, 0, 0, true)
-	if err != nil {
+	if err := AvgPoolQInto(g, q, 0, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Data) != 1 || g.Data[0] != 9 { // mean 8.5 → 9
@@ -236,21 +235,20 @@ func TestAddQAndConcatQ(t *testing.T) {
 	a := &QTensor{Data: []int8{10, 20}, Dims: []int{2, 1, 1}, Scale: 0.1, Bits: 8}
 	b := &QTensor{Data: []int8{5, 5}, Dims: []int{2, 1, 1}, Scale: 0.2, Bits: 8}
 	// Real values: a = {1.0, 2.0}, b = {1.0, 1.0}; sum = {2.0, 3.0}.
-	sum, err := AddQ(a, b, 0.1, 8)
-	if err != nil {
+	sum, cat := &QTensor{}, &QTensor{}
+	if err := AddQInto(sum, a, b, 0.1, 8); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Data[0] != 20 || sum.Data[1] != 30 {
 		t.Fatalf("addq = %v", sum.Data)
 	}
-	cat, err := ConcatQ([]*QTensor{a, b}, 0.1, 8)
-	if err != nil {
+	if err := ConcatQInto(cat, []*QTensor{a, b}, 0.1, 8); err != nil {
 		t.Fatal(err)
 	}
 	if len(cat.Data) != 4 || cat.Data[2] != 10 { // 5*0.2/0.1 = 10
 		t.Fatalf("concatq = %v", cat.Data)
 	}
-	if _, err := AddQ(a, &QTensor{Data: []int8{1}, Dims: []int{1, 1, 1}, Scale: 1, Bits: 8}, 0.1, 8); err == nil {
+	if err := AddQInto(sum, a, &QTensor{Data: []int8{1}, Dims: []int{1, 1, 1}, Scale: 1, Bits: 8}, 0.1, 8); err == nil {
 		t.Fatal("addq size mismatch must fail")
 	}
 }

@@ -17,7 +17,8 @@ import (
 // ascending-K order as gemmInt8Block, every output element is
 // bit-identical to the dense and naive kernels on the same weights —
 // at every worker count, since the macro-tile partition above this
-// kernel still splits only output coordinates (K is never split).
+// kernel (gemm_tiled.go, shared with the dense kernel) splits only
+// output coordinates (K is never split).
 //
 // The compacted block payload lives in an ordinary QTensor: it is the
 // BRAM-resident weight image of a sparse deployment, so the executor's

@@ -60,8 +60,9 @@ func TestSparsePackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-// checkSparseConvEquivalence runs naive, dense-GEMM and sparse-GEMM on
-// the same pruned weights and requires bit-exact accumulators.
+// checkSparseConvEquivalence runs naive, dense-GEMM and sparse-GEMM (one-
+// image batches) on the same pruned weights and requires bit-exact
+// accumulators.
 func checkSparseConvEquivalence(t *testing.T, x, w *QTensor, bias []int32, stride, pad int) {
 	t.Helper()
 	ref, refDims, refErr := Conv2DInt8(x, w, bias, stride, pad)
@@ -71,7 +72,7 @@ func checkSparseConvEquivalence(t *testing.T, x, w *QTensor, bias []int32, strid
 	}
 	var col []int8
 	var acc []int32
-	sh, spErr := Conv2DInt8GemmSparse(x, sw, bias, stride, pad, &col, &acc)
+	sh, spErr := Conv2DInt8GemmBatchSparse([]*QTensor{x}, sw, bias, stride, pad, &col, &acc)
 	if (refErr == nil) != (spErr == nil) {
 		t.Fatalf("error mismatch: naive=%v sparse=%v", refErr, spErr)
 	}
@@ -89,7 +90,7 @@ func checkSparseConvEquivalence(t *testing.T, x, w *QTensor, bias []int32, strid
 	}
 	var dcol []int8
 	var dacc []int32
-	if _, err := Conv2DInt8Gemm(x, w, bias, stride, pad, &dcol, &dacc); err != nil {
+	if _, err := Conv2DInt8GemmBatch([]*QTensor{x}, w, bias, stride, pad, &dcol, &dacc); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref {
@@ -159,7 +160,7 @@ func TestSparseConvEquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Conv2DInt8GemmSparse(x, sw, bias, stride, pad, &col, &acc); err != nil {
+		if _, err := Conv2DInt8GemmBatchSparse([]*QTensor{x}, sw, bias, stride, pad, &col, &acc); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		for i := range ref {
@@ -170,9 +171,9 @@ func TestSparseConvEquivalenceFuzz(t *testing.T) {
 	}
 }
 
-// TestSparseDenseEquivalence covers the sparse FC kernel against the
-// naive oracle across widths around the blocking factors, at both
-// worker counts.
+// TestSparseDenseEquivalence covers the sparse FC kernel's one-image
+// batch against the naive oracle across widths around the blocking
+// factors, at both worker counts.
 func TestSparseDenseEquivalence(t *testing.T) {
 	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(77))
@@ -195,7 +196,7 @@ func TestSparseDenseEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				width, err := DenseInt8GemmSparse(x, sw, bias, &acc)
+				width, err := DenseInt8GemmBatchSparse([]*QTensor{x}, sw, bias, &acc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,13 +219,13 @@ func TestSparseDenseEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DenseInt8GemmSparse(x, sw, randBias(rng, 4), &acc); err == nil {
+	if _, err := DenseInt8GemmBatchSparse([]*QTensor{x}, sw, randBias(rng, 4), &acc); err == nil {
 		t.Fatal("size mismatch must fail")
 	}
 }
 
 // TestSparseBatchEquivalence pins the batched sparse forms against the
-// batched dense engine and the per-image sparse path, across worker
+// batched dense engine and the naive kernels per image, across worker
 // counts and sparsities.
 func TestSparseBatchEquivalence(t *testing.T) {
 	defer SetWorkers(0)
@@ -233,7 +234,7 @@ func TestSparseBatchEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		SetWorkers(workers)
 		for _, frac := range testSparsities {
-			// Conv: batch sparse vs batch dense vs per-image sparse.
+			// Conv: batch sparse vs batch dense vs per-image naive.
 			w := randQ(rng, 8, 12, 6, 3, 3)
 			sparsify(rng, w, frac)
 			bias := randBias(rng, 12)
@@ -245,8 +246,8 @@ func TestSparseBatchEquivalence(t *testing.T) {
 			for i := range xs {
 				xs[i] = randQ(rng, 8, 6, 10, 10)
 			}
-			var col, dcol, scol []int8
-			var acc, dacc, sacc []int32
+			var col, dcol []int8
+			var acc, dacc []int32
 			sh, err := Conv2DInt8GemmBatchSparse(xs, sw, bias, 1, 1, &col, &acc)
 			if err != nil {
 				t.Fatal(err)
@@ -256,7 +257,8 @@ func TestSparseBatchEquivalence(t *testing.T) {
 			}
 			blk := sh.AccLen()
 			for b := 0; b < batch; b++ {
-				if _, err := Conv2DInt8GemmSparse(xs[b], sw, bias, 1, 1, &scol, &sacc); err != nil {
+				sacc, _, err := Conv2DInt8(xs[b], w, bias, 1, 1)
+				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < blk; i++ {
@@ -265,12 +267,12 @@ func TestSparseBatchEquivalence(t *testing.T) {
 							workers, frac, b, i, acc[b*blk+i], dacc[b*blk+i])
 					}
 					if acc[b*blk+i] != sacc[i] {
-						t.Fatalf("conv img %d acc[%d]: batch %d != single %d", b, i, acc[b*blk+i], sacc[i])
+						t.Fatalf("conv img %d acc[%d]: batch %d != naive %d", b, i, acc[b*blk+i], sacc[i])
 					}
 				}
 			}
 
-			// FC: batch sparse vs batch dense vs per-image sparse.
+			// FC: batch sparse vs batch dense vs per-image naive.
 			fw := randQ(rng, 8, 37, 50)
 			sparsify(rng, fw, frac)
 			fbias := randBias(rng, 37)
@@ -282,7 +284,7 @@ func TestSparseBatchEquivalence(t *testing.T) {
 			for i := range fxs {
 				fxs[i] = randQ(rng, 8, 50)
 			}
-			var facc, fdacc, fsacc []int32
+			var facc, fdacc []int32
 			out, err := DenseInt8GemmBatchSparse(fxs, fsw, fbias, &facc)
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +293,8 @@ func TestSparseBatchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for b := 0; b < batch; b++ {
-				if _, err := DenseInt8GemmSparse(fxs[b], fsw, fbias, &fsacc); err != nil {
+				fsacc, _, err := DenseInt8(fxs[b], fw, fbias)
+				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < out; i++ {
@@ -300,7 +303,7 @@ func TestSparseBatchEquivalence(t *testing.T) {
 							workers, frac, b, i, facc[b*out+i], fdacc[b*out+i])
 					}
 					if facc[b*out+i] != fsacc[i] {
-						t.Fatalf("fc img %d acc[%d]: batch %d != single %d", b, i, facc[b*out+i], fsacc[i])
+						t.Fatalf("fc img %d acc[%d]: batch %d != naive %d", b, i, facc[b*out+i], fsacc[i])
 					}
 				}
 			}
@@ -339,7 +342,7 @@ func TestSparseFaultOracleBridge(t *testing.T) {
 		}
 		var col []int8
 		var acc []int32
-		if _, err := Conv2DInt8GemmSparse(x, sw, bias, 1, 1, &col, &acc); err != nil {
+		if _, err := Conv2DInt8GemmBatchSparse([]*QTensor{x}, sw, bias, 1, 1, &col, &acc); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ref {

@@ -100,24 +100,27 @@ func TestServeHealthDegradedFlipAndPostmortem(t *testing.T) {
 		t.Fatalf("board 0 health = %+v, want ok", after.Boards[0])
 	}
 
-	// Crash board 0 under a caller-chosen trace id.
+	// Crash board 0 under a caller-chosen trace id. The healthy board may
+	// pop the job before the sabotaged one (the injection stays armed), so
+	// retry until the schedule lands it on board 0.
 	if err := s.pools[0].InjectFailures(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", strings.NewReader(`{"seed":3}`))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Uvolt-Trace", "postmortem-probe_01")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced classify status %d", resp.StatusCode)
-	}
-
 	var pms postmortemsResponse
-	getJSON(t, ts.URL+"/v1/fleet/postmortems?limit=5", &pms)
+	for try := 0; try < 25 && pms.Total < 1; try++ {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", strings.NewReader(`{"seed":3}`))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Uvolt-Trace", "postmortem-probe_01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("traced classify status %d", resp.StatusCode)
+		}
+		getJSON(t, ts.URL+"/v1/fleet/postmortems?limit=5", &pms)
+	}
 	if pms.Total < 1 || len(pms.Postmortems) < 1 {
 		t.Fatalf("postmortems = %+v", pms)
 	}
