@@ -191,6 +191,11 @@ func BenchmarkConvKernels(b *testing.B) {
 	xq, _ := quant.Quantize(x, 8)
 	wq, _ := quant.Quantize(w, 8)
 	bias := make([]int32, 64)
+	// One op is 64 filters × 288 taps × 1024 pixels; the gemm arm's
+	// figure includes its im2col.
+	gmacs := func(b *testing.B) {
+		b.ReportMetric(float64(b.N)*64*288*1024/b.Elapsed().Seconds()/1e9, "GMAC/s")
+	}
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -198,6 +203,7 @@ func BenchmarkConvKernels(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		gmacs(b)
 	})
 	b.Run("gemm", func(b *testing.B) {
 		xs := []*quant.QTensor{xq}
@@ -212,13 +218,15 @@ func BenchmarkConvKernels(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(quant.Workers()), "workers")
+		gmacs(b)
 	})
 }
 
 // BenchmarkGemmScaling measures the tiled GEMM engine's parallel
 // scaling on the batched multi-RHS conv lowering (8 images of
 // 64×32×3×3 over 32×32 stacked into one wide GEMM; the one-image shape
-// is BenchmarkConvKernels/gemm). The tile worker pool is left in its
+// is BenchmarkConvKernels/gemm), plus the FC lowering at batch 1. The
+// tile worker pool is left in its
 // GOMAXPROCS-aware automatic mode, so running with -cpu 1,2,4 sweeps
 // the pool width; the workers metric records the effective width per
 // run.
@@ -250,6 +258,28 @@ func BenchmarkGemmScaling(b *testing.B) {
 		if secs := b.Elapsed().Seconds(); secs > 0 {
 			b.ReportMetric(float64(b.N)*batch/secs, "images/s")
 		}
+	})
+	// The block kernel's unamortised case: a 512×1024 FC layer over a
+	// lone image packs every weight for a single column.
+	b.Run("fc-batch1", func(b *testing.B) {
+		fw := tensor.New(512, 1024)
+		fw.FillRandn(rng, 0.2)
+		fwq, _ := quant.Quantize(fw, 8)
+		fx := tensor.New(1024)
+		fx.FillRandn(rng, 1)
+		fxq, _ := quant.Quantize(fx, 8)
+		xs := []*quant.QTensor{fxq}
+		fbias := make([]int32, 512)
+		var acc []int32
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := quant.DenseInt8GemmBatch(xs, fwq, fbias, &acc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)*512*1024/b.Elapsed().Seconds()/1e9, "GMAC/s")
 	})
 }
 

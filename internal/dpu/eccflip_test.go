@@ -1,6 +1,7 @@
 package dpu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -273,11 +274,53 @@ func TestRunWithZeroAllocs(t *testing.T) {
 		}
 		faults += res.MACFaults
 	}
-	run()
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("RunWith on a warm Scratch: %v allocs/run, want 0", allocs)
+	allocFree := func(what string, f func()) {
+		t.Helper()
+		f()
+		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
+			t.Fatalf("%s: %v allocs/run, want 0", what, allocs)
+		}
 	}
+	allocFree("RunWith on a warm Scratch", run)
 	if faults == 0 {
 		t.Fatal("no MAC faults at 550 mV: the injection path was not exercised")
+	}
+
+	// The block kernel itself must be warm-path free too (its weight
+	// panel lives on the stack), serial and fanned out over macro-tiles (40 rows × 100 pixels is two
+	// row tiles × two column tiles per image).
+	defer quant.SetWorkers(0)
+	wq := &quant.QTensor{Data: make([]int8, 40*3*3*3), Dims: []int{40, 3, 3, 3}, Scale: 1, Bits: 8}
+	for i := range wq.Data {
+		wq.Data[i] = int8(rng.Intn(255) - 127)
+	}
+	sw, err := quant.PackSparse(wq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xq := &quant.QTensor{Data: make([]int8, 3*10*10), Dims: []int{3, 10, 10}, Scale: 1, Bits: 8}
+	xs := []*quant.QTensor{xq, xq}
+	bias := make([]int32, 40)
+	var col []int8
+	var acc []int32
+	for _, workers := range []int{1, 4} {
+		quant.SetWorkers(workers)
+		kernels := map[string]func() error{
+			"Conv2DInt8GemmBatch": func() error {
+				_, err := quant.Conv2DInt8GemmBatch(xs, wq, bias, 1, 1, &col, &acc)
+				return err
+			},
+			"Conv2DInt8GemmBatchSparse": func() error {
+				_, err := quant.Conv2DInt8GemmBatchSparse(xs, sw, bias, 1, 1, &col, &acc)
+				return err
+			},
+		}
+		for name, kernel := range kernels {
+			allocFree(fmt.Sprintf("%s at %d workers on warm buffers", name, workers), func() {
+				if err := kernel(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

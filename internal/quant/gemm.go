@@ -5,15 +5,19 @@ import (
 	"math"
 )
 
-// This file is the dense inner kernel of the int8 compute path — the
+// This file is the inner kernel of the int8 compute path — the
 // register-blocked int8→int32 GEMM that the batch lowerings in
 // gemm_batch.go tile and parallelize — and the requantize(+ReLU)
-// epilogue that writes straight into a caller-owned tensor. Both take
-// caller-owned buffers so a steady-state inference performs no heap
-// allocation; the naive kernels in kernels.go remain as the reference
-// oracle and every lowering is bit-exact against them (int32
-// accumulation is modular, and the accumulation order — bias, then taps
-// in (inC, ky, kx) order — is preserved).
+// epilogue that writes straight into a caller-owned tensor. The kernel
+// mirrors the DPU's DSP48E2 trick of packing two int8 multiplies that
+// share an operand into one wide multiplier: two weight rows ride the
+// 32-bit lanes of an int64, so one 64-bit multiply is two MACs. Both
+// take caller-owned buffers (the kernel's only scratch is on its stack)
+// so a steady-state inference performs no heap allocation; the naive
+// kernels in kernels.go remain as the reference oracle and every
+// lowering is bit-exact against them: each lane sum is an exact integer,
+// and adding exact span sums to the bias modulo 2³² equals the naive
+// kernel's running int32 in any association.
 
 // growInt8 returns buf resized to n, reusing its backing array when the
 // capacity allows.
@@ -32,90 +36,184 @@ func growInt32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// gemmRows × gemmCols is the register tile: each inner loop streams the
-// shared reduction once while eight int32 accumulators stay in
-// registers, so every loaded int8 feeds multiple multiply-accumulates
-// and the steady-state loop performs no stores.
+// gemmRows × gemmCols is the register tile: four weight rows, packed two
+// to a 64-bit lane pair, against two activation columns — four int64
+// accumulators carrying eight int32 sums. Wider tiles spill under the Go
+// register allocator and run slower (DESIGN.md, "The two-lane step").
 const (
 	gemmRows = 4
 	gemmCols = 2
 )
 
-// gemmInt8Block is the register-blocked kernel: it computes dst rows
-// [i0,i1) × columns [j0,j1) of dst[m×n] = a[m×k]·bt[n×k]ᵀ with int8
-// operands, int32 accumulation, and bias[i] seeding row i — the
-// MAC-array contract of the DPU's conv/FC units. ld is the row stride of
-// dst (ld == n for a full matrix). bt is patch-major (each of the n
-// columns of the logical B matrix stored as a contiguous k-row), so
-// every tile is a set of dot products over contiguous memory:
-// branch-free, store-free, and bounds-check-free in the steady state.
-// Each output element's accumulation — bias, then the full K reduction
-// in p order — is self-contained, so any macro-tile partition of the
-// output plane yields results bit-identical to one full-matrix call:
-// tiling and parallelization never change a single int32.
-func gemmInt8Block(dst []int32, a, bt []int8, i0, i1, j0, j1, k, ld int, bias []int32) {
-	i := i0
-	for ; i+gemmRows <= i1; i += gemmRows {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		bi0, bi1, bi2, bi3 := bias[i], bias[i+1], bias[i+2], bias[i+3]
-		j := j0
-		for ; j+gemmCols <= j1; j += gemmCols {
-			x0 := bt[(j+0)*k : (j+1)*k]
-			x1 := bt[(j+1)*k : (j+2)*k]
-			s00, s01 := bi0, bi0
-			s10, s11 := bi1, bi1
-			s20, s21 := bi2, bi2
-			s30, s31 := bi3, bi3
-			for p, xv := range x0 {
-				v0 := int32(xv)
-				v1 := int32(x1[p])
-				w0 := int32(a0[p])
-				w1 := int32(a1[p])
-				w2 := int32(a2[p])
-				w3 := int32(a3[p])
-				s00 += w0 * v0
-				s01 += w0 * v1
-				s10 += w1 * v0
-				s11 += w1 * v1
-				s20 += w2 * v0
-				s21 += w2 * v1
-				s30 += w3 * v0
-				s31 += w3 * v1
-			}
-			dst[(i+0)*ld+j], dst[(i+0)*ld+j+1] = s00, s01
-			dst[(i+1)*ld+j], dst[(i+1)*ld+j+1] = s10, s11
-			dst[(i+2)*ld+j], dst[(i+2)*ld+j+1] = s20, s21
-			dst[(i+3)*ld+j], dst[(i+3)*ld+j+1] = s30, s31
-		}
-		for ; j < j1; j++ {
-			x0 := bt[j*k : (j+1)*k]
-			s0, s1, s2, s3 := bi0, bi1, bi2, bi3
-			for p, xv := range x0 {
-				v := int32(xv)
-				s0 += int32(a0[p]) * v
-				s1 += int32(a1[p]) * v
-				s2 += int32(a2[p]) * v
-				s3 += int32(a3[p]) * v
-			}
-			dst[(i+0)*ld+j] = s0
-			dst[(i+1)*ld+j] = s1
-			dst[(i+2)*ld+j] = s2
-			dst[(i+3)*ld+j] = s3
-		}
+// panelTaps is the length of the block kernel's on-stack weight panel: a
+// row group's reduction is walked in spans of at most panelTaps taps,
+// each span packed once and run against every column pair of the tile,
+// its lane sums split at the end of the span. An int8×int8 product is at
+// most 2¹⁴ in magnitude, so a lane's span sum stays exact in int32 for
+// any span under 2¹⁷ taps; spans add modulo 2³², exactly like the naive
+// kernel's running int32, so no reduction length needs a second kernel.
+// A multiple of 64: sparse spans cover whole bitmap words.
+const panelTaps = 512
+
+// laneTap is one K-step of a packed row group: the weights of rows 0|1
+// in the low|high 32-bit lanes of w01, rows 2|3 in w23, and the
+// reduction index p the step's activations are read at. One 64-bit
+// multiply by a sign-extended activation v then performs two MACs:
+// (w0 + w1·2³²)·v = w0·v + (w1·v)·2³².
+type laneTap struct {
+	w01, w23 int64
+	p        int
+}
+
+// packLanes places two weights in the lanes of one multiplier operand.
+func packLanes(lo, hi int8) int64 { return int64(lo) + int64(hi)<<32 }
+
+// splitLanes recovers the two lane sums of s = L + H·2³². With |L| < 2³¹
+// (guaranteed by panelTaps) the low word of s is L exactly, and removing
+// it leaves H·2³²: the only cross-lane term is L's borrow, which the
+// subtraction cancels.
+func splitLanes(s int64) (lo, hi int32) {
+	lo = int32(s)
+	return lo, int32((s - int64(lo)) >> 32)
+}
+
+// laneStep is the inner loop: one packed span of a row group against two
+// activation columns, 8 MACs per 4 multiplies, no stores. sRC sums lane
+// pair R (rows 2R|2R+1) against column C. A sparse span simply has fewer
+// taps: the same products as the dense one minus exact zeros, so the
+// sums are identical. Kept out of line: inlined into the block kernel
+// its accumulators spill.
+//
+//go:noinline
+func laneStep(taps []laneTap, x0, x1 []int8) (s00, s01, s10, s11 int64) {
+	x1 = x1[:len(x0)]
+	for _, t := range taps {
+		v0, v1 := int64(x0[t.p]), int64(x1[t.p])
+		s00 += t.w01 * v0
+		s01 += t.w01 * v1
+		s10 += t.w23 * v0
+		s11 += t.w23 * v1
 	}
-	for ; i < i1; i++ {
-		ar := a[i*k : (i+1)*k]
-		bi := bias[i]
-		for j := j0; j < j1; j++ {
-			x0 := bt[j*k : (j+1)*k]
-			sum := bi
-			for p, xv := range x0 {
-				sum += int32(ar[p]) * int32(xv)
+	return
+}
+
+// packRows packs taps [q, q+len(taps)) of rows [i, i+rows) of the
+// row-major m×k matrix a. A ragged group repeats its last row in the
+// unused lanes: lanes never interact, and the block kernel does not
+// store them.
+func packRows(taps []laneTap, a []int8, i, rows, k, q int) {
+	row := func(r int) []int8 {
+		r = i + min(r, rows-1)
+		return a[r*k+q : r*k+q+len(taps)]
+	}
+	a0, a1, a2, a3 := row(0), row(1), row(2), row(3)
+	for p := range taps {
+		taps[p] = laneTap{packLanes(a0[p], a1[p]), packLanes(a2[p], a3[p]), q + p}
+	}
+}
+
+// loadRows reads one tile column: the first rows of it, rs apart.
+func loadRows(d []int32, rs, rows int) (t [gemmRows]int32) {
+	for r := 0; r < rows; r++ {
+		t[r] = d[r*rs]
+	}
+	return t
+}
+
+// storeRows writes one tile column.
+func storeRows(d []int32, rs, rows int, t [gemmRows]int32) {
+	for r := 0; r < rows; r++ {
+		d[r*rs] = t[r]
+	}
+}
+
+// rhs is a GEMM's right operand, n columns of k codes: a contiguous
+// patch-major matrix (conv: column j at bt[j*k:(j+1)*k]) or one tensor
+// per column (FC: column b is image b's activations).
+type rhs struct {
+	bt []int8
+	xs []*QTensor
+}
+
+// col returns column j's k codes.
+func (x rhs) col(j, k int) []int8 {
+	if x.xs != nil {
+		return x.xs[j].Data
+	}
+	return x.bt[j*k : (j+1)*k]
+}
+
+// gemmBlock is the block kernel: it computes output rows [i0,i1) ×
+// columns [j0,j1) of w[m×k]·xᵀ with int8 operands, int32 accumulation
+// and bias[i] seeding row i — the MAC-array contract of the DPU's
+// conv/FC units. Element (i,j) lands at dst[i*rs+j*cs], so one kernel
+// serves the conv layout (rs = n, cs = 1) and the image-major FC layout
+// (rs = 1, cs = out). i0 must be a multiple of gemmRows (macro-tile
+// rows are). Per row group the reduction is walked in spans of
+// panelTaps taps: the span's weights are packed once into the on-stack
+// panel (dense rows, or the nonzero blocks of the sparse image — the
+// weight operand picks only the packer), every column pair runs the
+// two-lane step over it, and the split lane sums are added to the bias
+// (first span) or to the running sums in dst (later ones). Every addend
+// is the exact product sum of its span, and int32 addition is
+// associative modulo 2³², so each element is bit-identical to the naive
+// kernel's bias-then-taps running sum; and since an element's whole
+// reduction is self-contained, any macro-tile partition of the output
+// plane yields the same int32s as one full-matrix call.
+//
+// The panel is rebuilt from the live weight bytes for every span of
+// every call and dies with the call's frame: the BRAM image stays the
+// only copy of the weights, so transient flips, SECDED corrections,
+// scrubbing and restore need no invalidation hook, and the kernel has
+// no pooled or shared scratch to keep warm.
+//
+// An odd last column rides the step twice, and a lone image (FC at
+// batch 1) packs 4×k weights for that single column, so nothing
+// amortises the pack: root BenchmarkGemmScaling/fc-batch1 reads 1.22
+// GMAC/s against 1.34 for the scalar 4×1 loop this kernel replaced.
+// That is cheap while FC is ≤ 1.4 % of the deployed models' MACs; an
+// FC-heavy kernel served at batch 1 would want a one-column step.
+func (w weights) gemmBlock(dst []int32, rs, cs int, x rhs, i0, i1, j0, j1, k int, bias []int32) {
+	var panel [panelTaps]laneTap
+	for i := i0; i < i1; i += gemmRows {
+		rows := min(gemmRows, i1-i)
+		var b [gemmRows]int32
+		copy(b[:], bias[i:i+rows])
+		blk := 0 // sparse: the group's blocks packed so far
+		for q := 0; q < k; q += panelTaps {
+			taps := panel[:min(panelTaps, k-q)]
+			if w.sparse != nil {
+				taps = taps[:packBlocks(taps, w.sparse, i/SparseBlockRows, q, blk)]
+				blk += len(taps)
+				if len(taps) == 0 && q > 0 {
+					continue
+				}
+			} else {
+				packRows(taps, w.dense, i, rows, k, q)
 			}
-			dst[i*ld+j] = sum
+			for j := j0; j < j1; j += gemmCols {
+				x0 := x.col(j, k)
+				d0 := dst[i*rs+j*cs:]
+				x1, d1 := x0, d0 // an odd last column is its own twin: same sums, same place
+				if j+1 < j1 {
+					x1, d1 = x.col(j+1, k), dst[i*rs+(j+1)*cs:]
+				}
+				t0, t1 := b, b
+				if q > 0 {
+					t0, t1 = loadRows(d0, rs, rows), loadRows(d1, rs, rows)
+				}
+				s00, s01, s10, s11 := laneStep(taps, x0, x1)
+				lo, hi := splitLanes(s00)
+				t0[0], t0[1] = t0[0]+lo, t0[1]+hi
+				lo, hi = splitLanes(s10)
+				t0[2], t0[3] = t0[2]+lo, t0[3]+hi
+				lo, hi = splitLanes(s01)
+				t1[0], t1[1] = t1[0]+lo, t1[1]+hi
+				lo, hi = splitLanes(s11)
+				t1[2], t1[3] = t1[2]+lo, t1[3]+hi
+				storeRows(d1, rs, rows, t1)
+				storeRows(d0, rs, rows, t0)
+			}
 		}
 	}
 }

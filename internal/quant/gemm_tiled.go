@@ -3,8 +3,8 @@ package quant
 import "sync"
 
 // This file is the macro-tile layer between the GEMM entry points and
-// the worker pool in parallel.go: the register-blocked kernels
-// (gemmInt8Block, or sparseGemmBlock over packed weights) become the
+// the worker pool in parallel.go: the register-blocked kernel
+// (gemmBlock, over dense rows or packed sparse blocks) becomes the
 // inner kernel of a cache-blocked loop over tileM×tileN output
 // macro-tiles, and those tiles are the unit of work split across
 // RunTiles. The partition is strictly over output
@@ -32,32 +32,11 @@ const (
 
 // weights is a GEMM's left operand in the form its kernel was compiled
 // for: the dense row-major code matrix, or (sparse set) the block-sparse
-// packed image. It picks the inner block kernel once per tile; the two
-// kernels stay separate because the bitmap walk costs the dense case
-// ~6% (DESIGN.md, "Dense and sparse inner kernels").
+// packed image. It picks the block kernel's panel packer (gemmBlock,
+// gemm.go); the inner step is the same for both.
 type weights struct {
 	dense  []int8
 	sparse *SparseWeights
-}
-
-// gemmBlock computes dst rows [i0,i1) × columns [j0,j1) against the
-// patch-major RHS bt (see gemmInt8Block).
-func (w weights) gemmBlock(dst []int32, bt []int8, i0, i1, j0, j1, k, ld int, bias []int32) {
-	if w.sparse != nil {
-		sparseGemmBlock(dst, w.sparse, bt, i0, i1, j0, j1, ld, bias)
-		return
-	}
-	gemmInt8Block(dst, w.dense, bt, i0, i1, j0, j1, k, ld, bias)
-}
-
-// fcRows computes output rows [o0,o1) of the batched FC product (see
-// denseInt8Rows).
-func (w weights) fcRows(dst []int32, bias []int32, xs []*QTensor, in, out, o0, o1 int) {
-	if w.sparse != nil {
-		sparseDenseRows(dst, w.sparse, bias, xs, out, o0, o1)
-		return
-	}
-	denseInt8Rows(dst, w.dense, bias, xs, in, out, o0, o1)
 }
 
 // gemmJob is the pooled work descriptor of one (possibly multi-slab)
@@ -96,7 +75,7 @@ func (g *gemmJob) Tile(t int) {
 	j1 := min(j0+tileN, g.n)
 	dst := g.dst[b*g.blockLen : (b+1)*g.blockLen]
 	bt := g.bt[b*g.slabLen : (b+1)*g.slabLen]
-	g.w.gemmBlock(dst, bt, i0, i1, j0, j1, g.k, g.n, g.bias)
+	g.w.gemmBlock(dst, g.n, 1, rhs{bt: bt}, i0, i1, j0, j1, g.k, g.bias)
 }
 
 // gemmInt8Tiled computes slabs independent products dst[b] =
@@ -114,7 +93,7 @@ func gemmInt8Tiled(dst []int32, w weights, bt []int8, m, k, slabs, n int, bias [
 	if tiles <= 1 || Workers() <= 1 {
 		block, slab := m*n, n*k
 		for b := 0; b < slabs; b++ {
-			w.gemmBlock(dst[b*block:(b+1)*block], bt[b*slab:(b+1)*slab], 0, m, 0, n, k, n, bias)
+			w.gemmBlock(dst[b*block:(b+1)*block], n, 1, rhs{bt: bt[b*slab : (b+1)*slab]}, 0, m, 0, n, k, bias)
 		}
 		return
 	}
@@ -148,7 +127,7 @@ func (d *denseJob) Recycle() {
 
 func (d *denseJob) Tile(t int) {
 	o0 := t * tileM
-	d.w.fcRows(d.dst, d.bias, d.xs, d.in, d.out, o0, min(o0+tileM, d.out))
+	d.w.gemmBlock(d.dst, 1, d.out, rhs{xs: d.xs}, o0, min(o0+tileM, d.out), 0, len(d.xs), d.in, d.bias)
 }
 
 // denseInt8Tiled computes the batched FC product, splitting tileM-row
@@ -159,7 +138,7 @@ func (d *denseJob) Tile(t int) {
 func denseInt8Tiled(dst []int32, w weights, bias []int32, xs []*QTensor, in, out int) {
 	tiles := (out + tileM - 1) / tileM
 	if tiles <= 1 || Workers() <= 1 {
-		w.fcRows(dst, bias, xs, in, out, 0, out)
+		w.gemmBlock(dst, 1, out, rhs{xs: xs}, 0, out, 0, len(xs), in, bias)
 		return
 	}
 	d := denseJobs.Get().(*denseJob)

@@ -66,7 +66,7 @@ func TestTiledGemmBitExactGrid(t *testing.T) {
 				bias := randBias(rng, m)
 				want := gemmOracle(a, bt, m, k, n, bias)
 				serial := make([]int32, m*n)
-				gemmInt8Block(serial, a, bt, 0, m, 0, n, k, n, bias)
+				weights{dense: a}.gemmBlock(serial, n, 1, rhs{bt: bt}, 0, m, 0, n, k, bias)
 				assertSameInt32(t, fmt.Sprintf("serial m=%d n=%d k=%d", m, n, k), serial, want)
 				for _, w := range []int{1, 2, 3, 4, 5} {
 					SetWorkers(w)

@@ -5,20 +5,20 @@ import (
 	"math/bits"
 )
 
-// This file is the block-sparse weight format and its register-tile
-// kernel — the executor-side payoff of the prune→quantize→deploy
-// pipeline. The format is aligned to the tiling hierarchy in
-// gemm_tiled.go: the skip unit is the SparseBlockRows×1 column slice of
-// the weight matrix that feeds one K-step of the 4×2 register tile, so
-// a fully-zero block is skipped without touching the patch matrix and a
+// This file is the block-sparse weight format and its panel packer —
+// the executor-side payoff of the prune→quantize→deploy pipeline. The
+// format is aligned to the tiling hierarchy in gemm_tiled.go: the skip
+// unit is the SparseBlockRows×1 column slice of the weight matrix that
+// feeds one K-step of the register tile (one laneTap, gemm.go), so a
+// fully-zero block is skipped without touching the patch matrix and a
 // nonzero block runs the exact 8-MAC step of the dense inner kernel.
-// Because a skipped block contributes only exact zeros to the int32
-// accumulators and the surviving blocks accumulate in the same
-// ascending-K order as gemmInt8Block, every output element is
-// bit-identical to the dense and naive kernels on the same weights —
-// at every worker count, since the macro-tile partition above this
-// kernel (gemm_tiled.go, shared with the dense kernel) splits only
-// output coordinates (K is never split).
+// Because a skipped block contributes only exact zeros to the
+// accumulators and the surviving blocks are the same products as the
+// dense step's, every output element is bit-identical to the dense and
+// naive kernels on the same weights — at every worker count, since the
+// macro-tile partition above the block kernel (gemm_tiled.go, shared
+// with the dense walk) splits only output coordinates (K is never
+// split).
 //
 // The compacted block payload lives in an ordinary QTensor: it is the
 // BRAM-resident weight image of a sparse deployment, so the executor's
@@ -194,199 +194,29 @@ func (s *SparseWeights) UnpackInto(dst *QTensor) {
 	}
 }
 
-// sparseGemmBlock computes dst rows [i0,i1) × columns [j0,j1) of the
-// M×n product against the patch-major RHS bt (n rows of K), with ld the
-// dst row stride — the sparse form of gemmInt8Block. i0 must be a
-// multiple of SparseBlockRows (macro-tile rows are). Per row group it
-// walks the nonzero bitmap with TrailingZeros64 and runs the dense
-// kernel's 8-MAC step once per surviving block: identical accumulation
-// order over identical nonzero terms, so the result is bit-exact with
-// the dense kernel on the unpacked weights.
-func sparseGemmBlock(dst []int32, sw *SparseWeights, bt []int8, i0, i1, j0, j1, ld int, bias []int32) {
-	k := sw.K
-	pd := sw.Packed.Data
-	for i := i0; i < i1; i += SparseBlockRows {
-		r := i / SparseBlockRows
-		rows := min(SparseBlockRows, i1-i)
-		bm := sw.Bitmap[r*sw.BitmapStride : (r+1)*sw.BitmapStride]
-		base := int(sw.Start[r]) * SparseBlockRows
-		var bi0, bi1, bi2, bi3 int32
-		bi0 = bias[i]
-		if rows > 1 {
-			bi1 = bias[i+1]
-		}
-		if rows > 2 {
-			bi2 = bias[i+2]
-		}
-		if rows > 3 {
-			bi3 = bias[i+3]
-		}
-		j := j0
-		for ; j+gemmCols <= j1; j += gemmCols {
-			x0 := bt[(j+0)*k : (j+1)*k]
-			x1 := bt[(j+1)*k : (j+2)*k]
-			s00, s01 := bi0, bi0
-			s10, s11 := bi1, bi1
-			s20, s21 := bi2, bi2
-			s30, s31 := bi3, bi3
-			blk := base
-			for wi, word := range bm {
-				pBase := wi << 6
-				for word != 0 {
-					p := pBase + bits.TrailingZeros64(word)
-					word &= word - 1
-					v0 := int32(x0[p])
-					v1 := int32(x1[p])
-					w0 := int32(pd[blk])
-					w1 := int32(pd[blk+1])
-					w2 := int32(pd[blk+2])
-					w3 := int32(pd[blk+3])
-					blk += SparseBlockRows
-					s00 += w0 * v0
-					s01 += w0 * v1
-					s10 += w1 * v0
-					s11 += w1 * v1
-					s20 += w2 * v0
-					s21 += w2 * v1
-					s30 += w3 * v0
-					s31 += w3 * v1
-				}
+// packBlocks expands the blocks of row group r whose reduction index
+// falls in [q, q+len(taps)) — whole bitmap words, q being a multiple of
+// 64 — into a lane panel: one tap per nonzero block, in ascending p,
+// carrying the index its activations are read at, so each bitmap word is
+// walked once per row group, not once per column pair. blk is how many
+// of the group's blocks precede q; the tap count is returned. A ragged
+// last group's padding rows are zeros in the image; the block kernel
+// does not store their lanes.
+func packBlocks(taps []laneTap, sw *SparseWeights, r, q, blk int) int {
+	pd := sw.Packed.Data[(int(sw.Start[r])+blk)*SparseBlockRows : int(sw.Start[r+1])*SparseBlockRows]
+	bm := sw.Bitmap[r*sw.BitmapStride : (r+1)*sw.BitmapStride]
+	bm = bm[q>>6 : (q+len(taps)+63)>>6]
+	n := 0
+	for wi, word := range bm {
+		for ; word != 0; word &= word - 1 {
+			b := pd[n*SparseBlockRows : (n+1)*SparseBlockRows]
+			taps[n] = laneTap{
+				w01: packLanes(b[0], b[1]),
+				w23: packLanes(b[2], b[3]),
+				p:   q + wi<<6 + bits.TrailingZeros64(word),
 			}
-			dst[(i+0)*ld+j], dst[(i+0)*ld+j+1] = s00, s01
-			if rows > 1 {
-				dst[(i+1)*ld+j], dst[(i+1)*ld+j+1] = s10, s11
-			}
-			if rows > 2 {
-				dst[(i+2)*ld+j], dst[(i+2)*ld+j+1] = s20, s21
-			}
-			if rows > 3 {
-				dst[(i+3)*ld+j], dst[(i+3)*ld+j+1] = s30, s31
-			}
-		}
-		for ; j < j1; j++ {
-			x0 := bt[j*k : (j+1)*k]
-			s0, s1, s2, s3 := bi0, bi1, bi2, bi3
-			blk := base
-			for wi, word := range bm {
-				pBase := wi << 6
-				for word != 0 {
-					p := pBase + bits.TrailingZeros64(word)
-					word &= word - 1
-					v := int32(x0[p])
-					s0 += int32(pd[blk]) * v
-					s1 += int32(pd[blk+1]) * v
-					s2 += int32(pd[blk+2]) * v
-					s3 += int32(pd[blk+3]) * v
-					blk += SparseBlockRows
-				}
-			}
-			dst[(i+0)*ld+j] = s0
-			if rows > 1 {
-				dst[(i+1)*ld+j] = s1
-			}
-			if rows > 2 {
-				dst[(i+2)*ld+j] = s2
-			}
-			if rows > 3 {
-				dst[(i+3)*ld+j] = s3
-			}
+			n++
 		}
 	}
-}
-
-// sparseDenseRows computes output rows [o0,o1) of the batched FC
-// product for every image (image b's row o at dst[b*out+o]) — the
-// sparse form of denseInt8Rows: row groups are the outer loop so each
-// group's packed run streams the batch once, image pairs share each
-// loaded block.
-func sparseDenseRows(dst []int32, sw *SparseWeights, bias []int32, xs []*QTensor, out, o0, o1 int) {
-	n := len(xs)
-	pd := sw.Packed.Data
-	for o := o0; o < o1; o += SparseBlockRows {
-		r := o / SparseBlockRows
-		rows := min(SparseBlockRows, o1-o)
-		bm := sw.Bitmap[r*sw.BitmapStride : (r+1)*sw.BitmapStride]
-		base := int(sw.Start[r]) * SparseBlockRows
-		var bi0, bi1, bi2, bi3 int32
-		bi0 = bias[o]
-		if rows > 1 {
-			bi1 = bias[o+1]
-		}
-		if rows > 2 {
-			bi2 = bias[o+2]
-		}
-		if rows > 3 {
-			bi3 = bias[o+3]
-		}
-		b := 0
-		for ; b+gemmCols <= n; b += gemmCols {
-			x0 := xs[b].Data
-			x1 := xs[b+1].Data
-			s00, s01 := bi0, bi0
-			s10, s11 := bi1, bi1
-			s20, s21 := bi2, bi2
-			s30, s31 := bi3, bi3
-			blk := base
-			for wi, word := range bm {
-				pBase := wi << 6
-				for word != 0 {
-					p := pBase + bits.TrailingZeros64(word)
-					word &= word - 1
-					v0 := int32(x0[p])
-					v1 := int32(x1[p])
-					w0 := int32(pd[blk])
-					w1 := int32(pd[blk+1])
-					w2 := int32(pd[blk+2])
-					w3 := int32(pd[blk+3])
-					blk += SparseBlockRows
-					s00 += w0 * v0
-					s01 += w0 * v1
-					s10 += w1 * v0
-					s11 += w1 * v1
-					s20 += w2 * v0
-					s21 += w2 * v1
-					s30 += w3 * v0
-					s31 += w3 * v1
-				}
-			}
-			dst[(b+0)*out+o], dst[(b+1)*out+o] = s00, s01
-			if rows > 1 {
-				dst[(b+0)*out+o+1], dst[(b+1)*out+o+1] = s10, s11
-			}
-			if rows > 2 {
-				dst[(b+0)*out+o+2], dst[(b+1)*out+o+2] = s20, s21
-			}
-			if rows > 3 {
-				dst[(b+0)*out+o+3], dst[(b+1)*out+o+3] = s30, s31
-			}
-		}
-		for ; b < n; b++ {
-			xd := xs[b].Data
-			s0, s1, s2, s3 := bi0, bi1, bi2, bi3
-			blk := base
-			for wi, word := range bm {
-				pBase := wi << 6
-				for word != 0 {
-					p := pBase + bits.TrailingZeros64(word)
-					word &= word - 1
-					v := int32(xd[p])
-					s0 += int32(pd[blk]) * v
-					s1 += int32(pd[blk+1]) * v
-					s2 += int32(pd[blk+2]) * v
-					s3 += int32(pd[blk+3]) * v
-					blk += SparseBlockRows
-				}
-			}
-			dst[b*out+o] = s0
-			if rows > 1 {
-				dst[b*out+o+1] = s1
-			}
-			if rows > 2 {
-				dst[b*out+o+2] = s2
-			}
-			if rows > 3 {
-				dst[b*out+o+3] = s3
-			}
-		}
-	}
+	return n
 }
