@@ -177,7 +177,7 @@ func BenchmarkConv2DInt8(b *testing.B) {
 }
 
 // BenchmarkConvKernels compares the naive direct convolution against the
-// im2col+GEMM lowering (a one-image batch) on a conv-dominated kernel
+// in-place GEMM lowering (a one-image batch) on a conv-dominated kernel
 // (64×32×3×3 over 32×32: ≈19M MACs, the regime the serving hot path
 // lives in). The engine's acceptance gate is gemm ≥ 3× naive. The tile
 // worker pool stays in automatic mode, so -cpu 1,2,4 sweeps the gemm
@@ -192,7 +192,7 @@ func BenchmarkConvKernels(b *testing.B) {
 	wq, _ := quant.Quantize(w, 8)
 	bias := make([]int32, 64)
 	// One op is 64 filters × 288 taps × 1024 pixels; the gemm arm's
-	// figure includes its im2col.
+	// figure is the whole lowering, its padded-frame copy included.
 	gmacs := func(b *testing.B) {
 		b.ReportMetric(float64(b.N)*64*288*1024/b.Elapsed().Seconds()/1e9, "GMAC/s")
 	}
@@ -220,6 +220,29 @@ func BenchmarkConvKernels(b *testing.B) {
 		b.ReportMetric(float64(quant.Workers()), "workers")
 		gmacs(b)
 	})
+}
+
+// BenchmarkRequantize measures the fused GEMM epilogue on one conv
+// layer's accumulators (64×1024, about half of them negative), with and
+// without ReLU: the branch-free loop costs the same either way.
+func BenchmarkRequantize(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	acc := make([]int32, 64*1024)
+	for i := range acc {
+		acc[i] = int32(rng.Intn(1<<17) - 1<<16)
+	}
+	var dst quant.QTensor
+	for _, relu := range []bool{false, true} {
+		b.Run(fmt.Sprintf("relu=%v", relu), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := quant.RequantizeInto(&dst, acc, 0.003, 0.07, 8, relu, 64, 32, 32); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(len(acc)), "ns/elem")
+		})
+	}
 }
 
 // BenchmarkGemmScaling measures the tiled GEMM engine's parallel

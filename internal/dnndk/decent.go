@@ -46,14 +46,14 @@ type QuantizeOptions struct {
 
 // SparseAutoThreshold is the realized block-sparsity fraction at which
 // auto backend selection deploys a kernel on the sparse backend.
-// Re-measured on the two-lane kernel (root BenchmarkSparseGemm, 64×288
+// Re-measured on the in-place lowering (root BenchmarkSparseGemm, 64×288
 // weights over 1024 pixels, one worker, Xeon @ 2.60 GHz): sparse over
-// dense is 1.00 at 0%, 0.79 at 25%, 0.60 at 50% and 0.28 at 90% block
+// dense is 1.00 at 0%, 0.75 at 25%, 0.52 at 50% and 0.14 at 90% block
 // sparsity. Both images run the same inner step, so there is no
 // break-even left to clear — an unpruned packed image costs nothing —
 // and the threshold is a policy, not a crossover: below 25% the packed
-// format saves under a fifth of the GEMM time, and the kernel stays on
-// the plain dense image. Unstructured pruning only clears it at extreme
+// format saves under a quarter of the lowering's time, and the kernel
+// stays on the plain dense image. Unstructured pruning only clears it at extreme
 // sparsity (skip probability is s^4); block-structured pruning
 // (PruneBlocks) realizes it at the requested fraction.
 const SparseAutoThreshold = 0.25

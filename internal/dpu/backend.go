@@ -31,7 +31,8 @@ func ValidBackend(name string) bool {
 // with each other on the same weight image at every worker count —
 // only where the int8 MACs come from differs:
 //
-//   - dense: im2col + tiled int8 GEMM over the dense weight tensor
+//   - dense: tiled int8 GEMM over the dense weight tensor, its columns
+//     read in place from the padded input frames
 //   - sparse: the same tiling over the block-sparse packed image,
 //     skipping fully-zero SparseBlockRows×1 weight blocks
 //   - naive: the direct conv/FC reference kernels (the oracle)
@@ -70,7 +71,7 @@ func (d *DPU) bramImage(kn *KernelNode) *quant.QTensor {
 	return kn.WQ
 }
 
-// denseBackend is the im2col+GEMM engine over dense weights.
+// denseBackend is the in-place GEMM engine over dense weights.
 type denseBackend struct{}
 
 func (denseBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error) {

@@ -41,7 +41,7 @@ type batchArena struct {
 	err   error
 }
 
-// batchLane holds one core's stacked im2col/accumulator buffers and its
+// batchLane holds one core's stacked frame/accumulator buffers and its
 // batched-input gather table.
 type batchLane struct {
 	col []int8

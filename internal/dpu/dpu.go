@@ -19,7 +19,7 @@ type DPU struct {
 	cfg    Config
 	nCores int
 	// refKernels forces the naive direct conv/FC kernels instead of the
-	// im2col+GEMM lowering — the reference oracle the equivalence tests
+	// GEMM lowering — the reference oracle the equivalence tests
 	// and benchmarks compare against.
 	refKernels bool
 	// prot is the BRAM SECDED policy. When enabled, weight faults are
@@ -57,7 +57,7 @@ func (d *DPU) Config() Config { return d.cfg }
 func (d *DPU) Cores() int { return d.nCores }
 
 // SetReferenceKernels toggles the naive direct conv/FC kernels in place of
-// the im2col+GEMM compute engine. The two paths are bit-exact (including
+// the GEMM compute engine. The two paths are bit-exact (including
 // fault-injection statistics); the naive path exists as the oracle for
 // equivalence tests and as the baseline for the kernel benchmarks.
 func (d *DPU) SetReferenceKernels(on bool) { d.refKernels = on }

@@ -287,8 +287,11 @@ func TestRunWithZeroAllocs(t *testing.T) {
 	}
 
 	// The block kernel itself must be warm-path free too (its weight
-	// panel lives on the stack), serial and fanned out over macro-tiles (40 rows × 100 pixels is two
-	// row tiles × two column tiles per image).
+	// panel and tap-offset table live on the stack, and the frames it
+	// reads in place reuse col), serial and fanned out over macro-tiles
+	// (40 rows × 100 pixels is two row tiles × two column tiles per
+	// image), at stride 1 and — a 20×20 image giving the same 100 pixels
+	// — at stride 2, both padded by one.
 	defer quant.SetWorkers(0)
 	wq := &quant.QTensor{Data: make([]int8, 40*3*3*3), Dims: []int{40, 3, 3, 3}, Scale: 1, Bits: 8}
 	for i := range wq.Data {
@@ -298,29 +301,32 @@ func TestRunWithZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xq := &quant.QTensor{Data: make([]int8, 3*10*10), Dims: []int{3, 10, 10}, Scale: 1, Bits: 8}
-	xs := []*quant.QTensor{xq, xq}
 	bias := make([]int32, 40)
 	var col []int8
 	var acc []int32
-	for _, workers := range []int{1, 4} {
-		quant.SetWorkers(workers)
-		kernels := map[string]func() error{
-			"Conv2DInt8GemmBatch": func() error {
-				_, err := quant.Conv2DInt8GemmBatch(xs, wq, bias, 1, 1, &col, &acc)
-				return err
-			},
-			"Conv2DInt8GemmBatchSparse": func() error {
-				_, err := quant.Conv2DInt8GemmBatchSparse(xs, sw, bias, 1, 1, &col, &acc)
-				return err
-			},
-		}
-		for name, kernel := range kernels {
-			allocFree(fmt.Sprintf("%s at %d workers on warm buffers", name, workers), func() {
-				if err := kernel(); err != nil {
-					t.Fatal(err)
-				}
-			})
+	for _, stride := range []int{1, 2} {
+		side := 10 * stride
+		xq := &quant.QTensor{Data: make([]int8, 3*side*side), Dims: []int{3, side, side}, Scale: 1, Bits: 8}
+		xs := []*quant.QTensor{xq, xq}
+		for _, workers := range []int{1, 4} {
+			quant.SetWorkers(workers)
+			kernels := map[string]func() error{
+				"Conv2DInt8GemmBatch": func() error {
+					_, err := quant.Conv2DInt8GemmBatch(xs, wq, bias, stride, 1, &col, &acc)
+					return err
+				},
+				"Conv2DInt8GemmBatchSparse": func() error {
+					_, err := quant.Conv2DInt8GemmBatchSparse(xs, sw, bias, stride, 1, &col, &acc)
+					return err
+				},
+			}
+			for name, kernel := range kernels {
+				allocFree(fmt.Sprintf("%s at stride %d, %d workers on warm buffers", name, stride, workers), func() {
+					if err := kernel(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }

@@ -98,17 +98,18 @@ func laneStep(taps []laneTap, x0, x1 []int8) (s00, s01, s10, s11 int64) {
 }
 
 // packRows packs taps [q, q+len(taps)) of rows [i, i+rows) of the
-// row-major m×k matrix a. A ragged group repeats its last row in the
-// unused lanes: lanes never interact, and the block kernel does not
-// store them.
-func packRows(taps []laneTap, a []int8, i, rows, k, q int) {
+// row-major m×k matrix a; off[p] is where tap q+p's activation sits in a
+// column's window. A ragged group repeats its last row in the unused
+// lanes: lanes never interact, and the block kernel does not store them.
+func packRows(taps []laneTap, off []int32, a []int8, i, rows, k, q int) {
 	row := func(r int) []int8 {
 		r = i + min(r, rows-1)
 		return a[r*k+q : r*k+q+len(taps)]
 	}
 	a0, a1, a2, a3 := row(0), row(1), row(2), row(3)
+	off = off[:len(taps)]
 	for p := range taps {
-		taps[p] = laneTap{packLanes(a0[p], a1[p]), packLanes(a2[p], a3[p]), q + p}
+		taps[p] = laneTap{packLanes(a0[p], a1[p]), packLanes(a2[p], a3[p]), int(off[p])}
 	}
 }
 
@@ -127,20 +128,66 @@ func storeRows(d []int32, rs, rows int, t [gemmRows]int32) {
 	}
 }
 
-// rhs is a GEMM's right operand, n columns of k codes: a contiguous
-// patch-major matrix (conv: column j at bt[j*k:(j+1)*k]) or one tensor
-// per column (FC: column b is image b's activations).
+// rhs is a GEMM's right operand, n columns of k codes, read where the
+// activations already are. Conv: column j is output pixel (oy, ox)'s
+// receptive field inside frame, the image's zero-padded InC×Hp×Wp
+// tensor — the window starting at (oy·Wp+ox)·stride, in which tap
+// (ic, ky, kx) sits at ic·plane + ky·wp + kx. FC: column b is image b's
+// activations and tap p sits at p, which is the same rule with a kernel
+// row as wide as the reduction. A patch-major n×k matrix is the conv rule
+// again: one channel, kernel width k, stride k. The rhs is also the
+// cursor of the block kernel's column walk (seek, next), so a column
+// costs additions, not a division.
 type rhs struct {
-	bt []int8
-	xs []*QTensor
+	xs    []*QTensor
+	frame []int8
+	// kw is the kernel width, wp and plane the frame's row and channel
+	// strides, span the window length: the last tap's offset plus one.
+	kw, wp, plane, stride, outW, span int
+
+	j, ox, row int // the next column, its pixel column and its row's window start
 }
 
-// col returns column j's k codes.
-func (x rhs) col(j, k int) []int8 {
-	if x.xs != nil {
-		return x.xs[j].Data
+// seek places the cursor on column j.
+func (x *rhs) seek(j int) {
+	x.j = j
+	if x.xs == nil {
+		oy := j / x.outW
+		x.ox, x.row = j-oy*x.outW, oy*x.wp*x.stride
 	}
-	return x.bt[j*k : (j+1)*k]
+}
+
+// next returns the cursor's column — its tensor, or its window of the
+// frame — and steps to the following one.
+func (x *rhs) next() []int8 {
+	if x.xs != nil {
+		x.j++
+		return x.xs[x.j-1].Data
+	}
+	base := x.row + x.ox*x.stride
+	if x.ox++; x.ox == x.outW {
+		x.ox, x.row = 0, x.row+x.wp*x.stride
+	}
+	return x.frame[base : base+x.span]
+}
+
+// offsets fills off with the window offsets of reduction taps
+// [q, q+len(off)): tap (ic, ky, kx) at ic·plane + ky·wp + kx, stepped
+// incrementally, so a span may start and end mid-row or mid-channel.
+func (x *rhs) offsets(off []int32, q int) {
+	ic, r := q/(x.kw*x.kw), q%(x.kw*x.kw)
+	ky, kx := r/x.kw, r%x.kw
+	o := ic*x.plane + ky*x.wp + kx
+	for p := range off {
+		off[p] = int32(o)
+		o++
+		if kx++; kx == x.kw {
+			kx, o = 0, o+x.wp-x.kw
+			if ky++; ky == x.kw {
+				ky, o = 0, o+x.plane-x.kw*x.wp
+			}
+		}
+	}
 }
 
 // gemmBlock is the block kernel: it computes output rows [i0,i1) ×
@@ -165,16 +212,22 @@ func (x rhs) col(j, k int) []int8 {
 // every call and dies with the call's frame: the BRAM image stays the
 // only copy of the weights, so transient flips, SECDED corrections,
 // scrubbing and restore need no invalidation hook, and the kernel has
-// no pooled or shared scratch to keep warm.
+// no pooled or shared scratch to keep warm. The span's tap offsets sit
+// beside it on the stack, refilled only when the span changes — once per
+// call when the reduction fits one panel.
 //
 // An odd last column rides the step twice, and a lone image (FC at
 // batch 1) packs 4×k weights for that single column, so nothing
-// amortises the pack: root BenchmarkGemmScaling/fc-batch1 reads 1.22
-// GMAC/s against 1.34 for the scalar 4×1 loop this kernel replaced.
-// That is cheap while FC is ≤ 1.4 % of the deployed models' MACs; an
-// FC-heavy kernel served at batch 1 would want a one-column step.
+// amortises the pack — nor, past one panel, the offset refill per span
+// per row group: root BenchmarkGemmScaling/fc-batch1 reads 1.02 GMAC/s
+// (1.22 before the offset table) against 1.34 for the scalar 4×1 loop
+// this kernel replaced. That is cheap while FC is ≤ 1.4 % of the
+// deployed models' MACs; an FC-heavy kernel served at batch 1 would
+// want a one-column step.
 func (w weights) gemmBlock(dst []int32, rs, cs int, x rhs, i0, i1, j0, j1, k int, bias []int32) {
 	var panel [panelTaps]laneTap
+	var off [panelTaps]int32
+	offQ := -1 // the span off currently describes
 	for i := i0; i < i1; i += gemmRows {
 		rows := min(gemmRows, i1-i)
 		var b [gemmRows]int32
@@ -182,21 +235,27 @@ func (w weights) gemmBlock(dst []int32, rs, cs int, x rhs, i0, i1, j0, j1, k int
 		blk := 0 // sparse: the group's blocks packed so far
 		for q := 0; q < k; q += panelTaps {
 			taps := panel[:min(panelTaps, k-q)]
+			at := off[:len(taps)]
+			if q != offQ {
+				x.offsets(at, q)
+				offQ = q
+			}
 			if w.sparse != nil {
-				taps = taps[:packBlocks(taps, w.sparse, i/SparseBlockRows, q, blk)]
+				taps = taps[:packBlocks(taps, at, w.sparse, i/SparseBlockRows, q, blk)]
 				blk += len(taps)
 				if len(taps) == 0 && q > 0 {
 					continue
 				}
 			} else {
-				packRows(taps, w.dense, i, rows, k, q)
+				packRows(taps, at, w.dense, i, rows, k, q)
 			}
+			x.seek(j0)
 			for j := j0; j < j1; j += gemmCols {
-				x0 := x.col(j, k)
+				x0 := x.next()
 				d0 := dst[i*rs+j*cs:]
 				x1, d1 := x0, d0 // an odd last column is its own twin: same sums, same place
 				if j+1 < j1 {
-					x1, d1 = x.col(j+1, k), dst[i*rs+(j+1)*cs:]
+					x1, d1 = x.next(), dst[i*rs+(j+1)*cs:]
 				}
 				t0, t1 := b, b
 				if q > 0 {
@@ -218,10 +277,26 @@ func (w weights) gemmBlock(dst []int32, rs, cs int, x rhs, i0, i1, j0, j1, k int
 	}
 }
 
+// roundMagic is 1.5·2⁵²: adding it to a float64 x with |x| < 2⁵¹ lands in
+// [2⁵², 2⁵³), where floats are the integers, so the sum is x rounded half
+// to even and its low mantissa bits hold that integer, offset by the
+// magic's own.
+const roundMagic = 3 << 51
+
+// maxRequantRatio bounds accScale/outScale so that an int32 accumulator
+// times the ratio stays inside roundMagic's exact range. DECENT's scales
+// give ratios below one.
+const maxRequantRatio = 1 << 20
+
 // RequantizeInto is the fused GEMM epilogue: it maps int32 accumulators to
 // int8 codes in dst (reusing dst's backing storage) and optionally applies
 // ReLU in the same pass (a clamp of negative codes to zero, so bit-exact
-// with requantizing and then applying ReLUQInto).
+// with requantizing and then applying ReLUQInto). One branch-free loop:
+// the product is rounded to even by the magic-constant add, as an exact
+// integer, and clamped between integers — [0, qmax] under ReLU, else
+// [−qmax, qmax] — so codes past the range saturate whatever the ratio.
+// The inner float64 conversion keeps the multiply and the add from fusing
+// into an FMA, which would skip the product's own rounding.
 func RequantizeInto(dst *QTensor, acc []int32, accScale, outScale float32, bits int, relu bool, dims ...int) error {
 	if err := validBits(bits); err != nil {
 		return err
@@ -229,25 +304,24 @@ func RequantizeInto(dst *QTensor, acc []int32, accScale, outScale float32, bits 
 	if outScale <= 0 {
 		return fmt.Errorf("quant: output scale must be positive, got %g", outScale)
 	}
+	ratio := float64(accScale) / float64(outScale)
+	if !(math.Abs(ratio) < maxRequantRatio) {
+		return fmt.Errorf("quant: requantize ratio %g/%g is not below 2^20", accScale, outScale)
+	}
 	dst.Data = growInt8(dst.Data, len(acc))
 	dst.Dims = append(dst.Dims[:0], dims...)
 	dst.Scale = outScale
 	dst.Bits = bits
-	ratio := float64(accScale) / float64(outScale)
-	qmax := QMax(bits)
-	d := dst.Data
+	hi := int64(QMax(bits))
+	lo := -hi
 	if relu {
-		for i, a := range acc {
-			v := clampToInt8(int32(math.RoundToEven(float64(a)*ratio)), qmax)
-			if v < 0 {
-				v = 0
-			}
-			d[i] = v
-		}
-		return nil
+		lo = 0
 	}
+	d := dst.Data
 	for i, a := range acc {
-		d[i] = clampToInt8(int32(math.RoundToEven(float64(a)*ratio)), qmax)
+		f := float64(float64(a)*ratio) + roundMagic
+		v := int64(math.Float64bits(f)) - int64(math.Float64bits(roundMagic))
+		d[i] = int8(max(lo, min(hi, v)))
 	}
 	return nil
 }

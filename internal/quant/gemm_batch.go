@@ -2,10 +2,11 @@ package quant
 
 import "fmt"
 
-// This file is the GEMM lowering of the int8 compute path: N images'
-// patch matrices stack into one tall multi-RHS GEMM per convolution, and
-// a fully-connected layer is a GEMM over the batch (a lone image is the
-// batch of one). Image b's accumulator block is
+// This file is the GEMM lowering of the int8 compute path: a convolution
+// over N images is one multi-RHS GEMM whose columns are read in place
+// from the images' zero-padded frames — no patch matrix is written —
+// and a fully-connected layer is a GEMM over the batch (a lone image is
+// the batch of one). Image b's accumulator block is
 // acc[b*blockLen:(b+1)*blockLen], laid out exactly like the naive
 // kernels' output, so the per-image MAC-fault injection and the
 // requantize epilogue address a batch member as they would a lone
@@ -35,10 +36,10 @@ func validateBatch(xs []*QTensor) error {
 }
 
 // Conv2DInt8GemmBatch is the GEMM lowering of Conv2DInt8 over a batch:
-// every image is unfolded into one stacked patch matrix (image b's slab
-// at col[b*Pixels*Cols:]) and a single tiled multi-RHS GEMM, its
-// macro-tiles split across the worker pool (gemm_tiled.go), computes the
-// whole batch. Image b's accumulators are
+// every image is copied once into its zero-padded frame (image b's at
+// col[b*InC*Hp*Wp:]) and a single tiled multi-RHS GEMM, its macro-tiles
+// split across the worker pool (gemm_tiled.go), computes the whole batch
+// straight from the frames. Image b's accumulators are
 // (*acc)[b*sh.AccLen():(b+1)*sh.AccLen()] in the naive kernel's
 // OutC×Pixels layout. Both buffers are grown in place and reused across
 // calls. Bit-exact with Conv2DInt8 per image at every worker count.
@@ -69,14 +70,40 @@ func convGemmBatch(xs []*QTensor, hdr *QTensor, w weights, biasQ []int32, stride
 		return sh, fmt.Errorf("quant: sparse conv weights %dx%d do not match geometry %dx%d", sw.M, sw.K, sh.OutC, sh.Cols())
 	}
 	n := len(xs)
-	slab := sh.Cols() * sh.Pixels()
-	*col = growInt8(*col, n*slab)
+	hp, wp := sh.InH+2*pad, sh.InW+2*pad
+	size := sh.InC * hp * wp
+	*col = growInt8(*col, n*size)
 	*acc = growInt32(*acc, n*sh.AccLen())
 	for b, x := range xs {
-		Im2colInt8(x, sh, (*col)[b*slab:(b+1)*slab])
+		padFrame((*col)[b*size:(b+1)*size], x.Data, sh)
 	}
-	gemmInt8Tiled(*acc, w, *col, sh.OutC, sh.Cols(), n, sh.Pixels(), biasQ)
+	frames := rhs{
+		frame: *col, kw: sh.K, wp: wp, plane: hp * wp, stride: stride, outW: sh.OutW,
+		span: (sh.InC-1)*hp*wp + (sh.K-1)*wp + sh.K,
+	}
+	gemmInt8Tiled(*acc, w, frames, sh.OutC, sh.Cols(), n, sh.Pixels(), biasQ)
 	return sh, nil
+}
+
+// padFrame copies the CHW image x into frame with sh.Pad zeros on every
+// side of each channel. Every receptive field then lies inside the
+// frame, so the kernel needs no border case: a tap in the padding reads
+// a zero, which is what the naive kernel adds when it skips that tap.
+func padFrame(frame, x []int8, sh ConvShape) {
+	if sh.Pad == 0 {
+		copy(frame, x)
+		return
+	}
+	clear(frame)
+	wp := sh.InW + 2*sh.Pad
+	at := sh.Pad*wp + sh.Pad
+	for ic := 0; ic < sh.InC; ic++ {
+		for y := 0; y < sh.InH; y++ {
+			copy(frame[at:at+sh.InW], x[:sh.InW])
+			at, x = at+wp, x[sh.InW:]
+		}
+		at += 2 * sh.Pad * wp
+	}
 }
 
 // DenseInt8GemmBatch is the GEMM lowering of DenseInt8 over a batch:

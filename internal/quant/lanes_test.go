@@ -150,7 +150,8 @@ func TestGemmLanesPanelSpans(t *testing.T) {
 // two calls on the same operands must be seen by the second call exactly
 // as the naive kernel sees them, and undoing the flips must give the
 // first result back. The dense image is WQ.Data; the sparse image is
-// SW.Packed.Data, compared through UnpackInto.
+// SW.Packed.Data, compared through UnpackInto. The same holds for the
+// conv frames in col: they are rebuilt from the activations every call.
 func TestGemmLanesLiveWeights(t *testing.T) {
 	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(29))
@@ -258,6 +259,16 @@ func TestGemmLanesLiveWeights(t *testing.T) {
 			copy(data, saved)
 			assertSameInt32(t, ctx+" after restore", im.run(), first)
 		}
+		// The frames the conv kernel reads in place are per call as well:
+		// new activations in the same tensors, same col buffer, are seen.
+		for _, x := range convX {
+			for i := range x.Data {
+				x.Data[i] = ^x.Data[i]
+			}
+		}
+		for _, im := range images[:2] {
+			assertSameInt32(t, fmt.Sprintf("workers=%d %s on new activations", workers, im.name), im.run(), im.ref())
+		}
 	}
 }
 
@@ -269,7 +280,12 @@ func TestGemmLanesLiveWeights(t *testing.T) {
 // is a 1×1 convolution (m filters over k channels × n pixels), the FC
 // form n images of k features: the same m×k·k×n product in both output
 // layouts. The upper half of kRaw adds a panel to k, so the reduction
-// runs in two spans.
+// runs in two spans. A third product is a real convolution whose
+// geometry comes from the first raw bytes — kernel 1/3/5/7, stride 1–3,
+// padding 0 to K+1, a 1–6 × 1–6 image grown until one window fits, as
+// many channels as bring InC·K² to about k, one or two images — so the
+// in-place addressing (padded frames, windows, offset tables that restart
+// inside a channel) is fuzzed against the naive kernel too.
 func FuzzGemmLanes(f *testing.F) {
 	// The seed corpus proper is testdata/fuzz/FuzzGemmLanes.
 	f.Add(uint8(36), uint8(129), uint8(66), uint8(1), int64(3), uint8(25), []byte("two lanes, one multiply"))
@@ -295,16 +311,7 @@ func FuzzGemmLanes(f *testing.F) {
 			w.Data[i] = code()
 		}
 		// Zero whole skip blocks so the sparse walk has something to skip.
-		for g := 0; g*SparseBlockRows < m; g++ {
-			for p := 0; p < k; p++ {
-				if rng.Intn(100) >= int(zeroPct)%101 {
-					continue
-				}
-				for i := g * SparseBlockRows; i < min((g+1)*SparseBlockRows, m); i++ {
-					w.Data[i*k+p] = 0
-				}
-			}
-		}
+		pruneBlocks(rng, w, int(zeroPct)%101)
 		bias := make([]int32, m)
 		for i := range bias {
 			bias[i] = int32(rng.Uint32())
@@ -335,5 +342,25 @@ func FuzzGemmLanes(f *testing.F) {
 				}
 			}
 		}
+
+		// A real convolution through the in-place addressing.
+		geo := func(i int) int { return int(raw[i%len(raw)]) }
+		kk, stride := 1+2*(geo(0)%4), 1+geo(1)%3
+		pad := geo(2) % (kk + 2)
+		h, wd := max(1+geo(3)%6, kk-2*pad), max(1+geo(4)%6, kk-2*pad)
+		inC := max(1, k/(kk*kk))
+		cw := &QTensor{Data: make([]int8, m*inC*kk*kk), Dims: []int{m, inC, kk, kk}, Scale: 1, Bits: 8}
+		for i := range cw.Data {
+			cw.Data[i] = code()
+		}
+		pruneBlocks(rng, cw, int(zeroPct)%101)
+		imgs := make([]*QTensor, 1+geo(5)%2)
+		for b := range imgs {
+			imgs[b] = &QTensor{Data: make([]int8, inC*h*wd), Dims: []int{inC, h, wd}, Scale: 1, Bits: 8}
+			for i := range imgs[b].Data {
+				imgs[b].Data[i] = code()
+			}
+		}
+		checkConvLanes(t, fmt.Sprintf("%s conv k=%d stride=%d pad=%d inC=%d in=%dx%d", ctx, kk, stride, pad, inC, h, wd), imgs, cw, bias, stride, pad)
 	})
 }

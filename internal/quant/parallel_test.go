@@ -35,6 +35,13 @@ func gemmOracle(a, bt []int8, m, k, n int, bias []int32) []int32 {
 	return dst
 }
 
+// patchRHS presents a patch-major matrix — slabs of n columns × k codes,
+// the lowering an explicit im2col produces — to the block kernel as the
+// degenerate frame geometry: one channel, one kernel row k wide, stride k.
+func patchRHS(bt []int8, n, k int) rhs {
+	return rhs{frame: bt, kw: k, stride: k, outW: n, span: k}
+}
+
 func assertSameInt32(t *testing.T, ctx string, got, want []int32) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -66,12 +73,12 @@ func TestTiledGemmBitExactGrid(t *testing.T) {
 				bias := randBias(rng, m)
 				want := gemmOracle(a, bt, m, k, n, bias)
 				serial := make([]int32, m*n)
-				weights{dense: a}.gemmBlock(serial, n, 1, rhs{bt: bt}, 0, m, 0, n, k, bias)
+				weights{dense: a}.gemmBlock(serial, n, 1, patchRHS(bt, n, k), 0, m, 0, n, k, bias)
 				assertSameInt32(t, fmt.Sprintf("serial m=%d n=%d k=%d", m, n, k), serial, want)
 				for _, w := range []int{1, 2, 3, 4, 5} {
 					SetWorkers(w)
 					got := make([]int32, m*n)
-					gemmInt8Tiled(got, weights{dense: a}, bt, m, k, 1, n, bias)
+					gemmInt8Tiled(got, weights{dense: a}, patchRHS(bt, n, k), m, k, 1, n, bias)
 					assertSameInt32(t, fmt.Sprintf("tiled m=%d n=%d k=%d workers=%d", m, n, k, w), got, want)
 				}
 				SetWorkers(0)
@@ -96,7 +103,7 @@ func TestTiledMultiRHSBitExactFuzz(t *testing.T) {
 		bias := randBias(rng, m)
 		SetWorkers(1 + rng.Intn(6))
 		got := make([]int32, slabs*m*pix)
-		gemmInt8Tiled(got, weights{dense: a}, bt, m, k, slabs, pix, bias)
+		gemmInt8Tiled(got, weights{dense: a}, patchRHS(bt, pix, k), m, k, slabs, pix, bias)
 		for b := 0; b < slabs; b++ {
 			want := gemmOracle(a, bt[b*pix*k:(b+1)*pix*k], m, k, pix, bias)
 			assertSameInt32(t, fmt.Sprintf("iter=%d slab=%d m=%d k=%d pix=%d workers=%d", iter, b, m, k, pix, Workers()),

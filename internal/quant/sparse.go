@@ -10,7 +10,7 @@ import (
 // format is aligned to the tiling hierarchy in gemm_tiled.go: the skip
 // unit is the SparseBlockRows×1 column slice of the weight matrix that
 // feeds one K-step of the register tile (one laneTap, gemm.go), so a
-// fully-zero block is skipped without touching the patch matrix and a
+// fully-zero block is skipped without touching the activations and a
 // nonzero block runs the exact 8-MAC step of the dense inner kernel.
 // Because a skipped block contributes only exact zeros to the
 // accumulators and the surviving blocks are the same products as the
@@ -198,11 +198,12 @@ func (s *SparseWeights) UnpackInto(dst *QTensor) {
 // falls in [q, q+len(taps)) — whole bitmap words, q being a multiple of
 // 64 — into a lane panel: one tap per nonzero block, in ascending p,
 // carrying the index its activations are read at, so each bitmap word is
-// walked once per row group, not once per column pair. blk is how many
-// of the group's blocks precede q; the tap count is returned. A ragged
-// last group's padding rows are zeros in the image; the block kernel
-// does not store their lanes.
-func packBlocks(taps []laneTap, sw *SparseWeights, r, q, blk int) int {
+// walked once per row group, not once per column pair. off[p] is where
+// tap q+p's activation sits in a column's window; blk is how many of the
+// group's blocks precede q; the tap count is returned. A ragged last
+// group's padding rows are zeros in the image; the block kernel does not
+// store their lanes.
+func packBlocks(taps []laneTap, off []int32, sw *SparseWeights, r, q, blk int) int {
 	pd := sw.Packed.Data[(int(sw.Start[r])+blk)*SparseBlockRows : int(sw.Start[r+1])*SparseBlockRows]
 	bm := sw.Bitmap[r*sw.BitmapStride : (r+1)*sw.BitmapStride]
 	bm = bm[q>>6 : (q+len(taps)+63)>>6]
@@ -213,7 +214,7 @@ func packBlocks(taps []laneTap, sw *SparseWeights, r, q, blk int) int {
 			taps[n] = laneTap{
 				w01: packLanes(b[0], b[1]),
 				w23: packLanes(b[2], b[3]),
-				p:   q + wi<<6 + bits.TrailingZeros64(word),
+				p:   int(off[wi<<6+bits.TrailingZeros64(word)]),
 			}
 			n++
 		}
