@@ -65,6 +65,18 @@ import (
 	"fpgauv"
 )
 
+// Connection deadlines of the serving listener. A client gets this long
+// to send its headers and its body (the largest legal one is ~100 KB),
+// a request this long from its last header byte to its last response
+// byte — queueing behind a saturated fleet included — and an idle
+// keep-alive connection this long before it is closed.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	boards := flag.Int("boards", 3, "pool size (boards cycle the three silicon samples)")
@@ -80,7 +92,7 @@ func main() {
 	batch := flag.Int("batch", 8, "max classify requests coalesced per accelerator pass")
 	batchImages := flag.Int("batch-images", 16, "max images coalesced per inference micro-batch")
 	microBatch := flag.Int("micro-batch", 16, "accelerator-pass size for inference jobs")
-	window := flag.Duration("batch-window", 2*time.Millisecond, "batching window")
+	window := flag.Duration("batch-window", 2*time.Millisecond, "longest hold of a request for batch-mates while every board is busy")
 	gemmWorkers := flag.Int("gemm-workers", 0, "GEMM tile worker pool width shared by conv macro-tiles and batch lanes (0 = GOMAXPROCS-aware automatic)")
 	pools := flag.Int("pools", 1, "pools in the cluster (1 = single pool, no router)")
 	poolBoards := flag.Int("pool-boards", 0, "boards per pool when clustered (default: -boards)")
@@ -204,7 +216,14 @@ func main() {
 			BurnThreshold:      *sloBurnThreshold,
 		},
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {

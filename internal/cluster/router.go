@@ -492,6 +492,18 @@ func (r *Router) QueueDepth() int {
 	return total
 }
 
+// Size is the number of boards across active pools (a parked spare
+// serves nothing until it is promoted).
+func (r *Router) Size() int {
+	total := 0
+	for _, e := range r.entries {
+		if e.active.Load() {
+			total += e.pool.Size()
+		}
+	}
+	return total
+}
+
 // Pools enumerates every pool — active and spare — in index order.
 func (r *Router) Pools() []*fleet.Pool {
 	out := make([]*fleet.Pool, len(r.entries))

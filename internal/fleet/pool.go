@@ -394,7 +394,7 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Size returns the number of boards.
+// Size returns the number of boards. Part of the Scheduler surface.
 func (p *Pool) Size() int { return len(p.members) }
 
 // Benchmark returns the workload the pool serves.

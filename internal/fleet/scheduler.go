@@ -37,6 +37,10 @@ type Scheduler interface {
 	// QueueDepth is the present backlog (jobs admitted, not yet picked
 	// up) — the admission surface's live signal.
 	QueueDepth() int
+	// Size is the number of boards serving: how many passes can execute
+	// at once. The front-end's batcher holds a request for company only
+	// while it has that many passes of its own outstanding.
+	Size() int
 	// Pools enumerates the concrete pools behind the scheduler in stable
 	// index order (a single pool returns itself), for pool-scoped
 	// operations: per-board rail moves, governor tuning, chaos injection.

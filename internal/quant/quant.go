@@ -80,9 +80,26 @@ func QuantizeWithScaleInto(dst *QTensor, t *tensor.Tensor, scale float32, bits i
 	dst.Dims = t.DimsInto(dst.Dims)
 	dst.Scale = scale
 	dst.Bits = bits
-	qmax := QMax(bits)
+	// Saturate in float, by sign, before converting: a float beyond
+	// int32 (or a NaN) converts to an implementation-defined integer —
+	// on amd64 the most negative one, which turned +1e12 into -qmax.
+	// A NaN carries no sign to saturate by and quantizes to 0. Rounding
+	// is monotone and fixes the integer bounds, so clamping first is
+	// bit-identical for every in-range value; the clamped value then
+	// rounds half-even through roundMagic (gemm.go), exact far past ±hi.
+	hi := float64(QMax(bits))
 	for i, v := range t.Data() {
-		dst.Data[i] = clampToInt8(int32(math.RoundToEven(float64(v/scale))), qmax)
+		x := float64(v / scale)
+		if !(x <= hi) { // above the range, or NaN
+			if x > hi {
+				x = hi
+			} else {
+				x = 0
+			}
+		} else if x < -hi {
+			x = -hi
+		}
+		dst.Data[i] = int8(int64(math.Float64bits(x+roundMagic)) - int64(math.Float64bits(roundMagic)))
 	}
 	return nil
 }

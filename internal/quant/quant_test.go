@@ -69,6 +69,27 @@ func TestQuantizeValidation(t *testing.T) {
 	}
 }
 
+// Values beyond int32 and non-finite ones saturate by sign (NaN → 0)
+// on every platform; in-range values are untouched by the clamp.
+func TestQuantizeSaturatesBySign(t *testing.T) {
+	inf := float32(math.Inf(1))
+	x, err := tensor.FromSlice([]float32{3e38, 1e12, inf, float32(math.NaN()), -3e38, -1e12, -inf,
+		1.0, -1.0, 3.81, -3.81, 0.015, 0.045, 5}, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := QuantizeWithScale(x, 0.03, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int8{127, 127, 127, 0, -127, -127, -127, 33, -33, 127, -127, 0, 2, 127}
+	for i, w := range want {
+		if q.Data[i] != w {
+			t.Errorf("quantize(%g) = %d, want %d", x.Data()[i], q.Data[i], w)
+		}
+	}
+}
+
 func TestQMax(t *testing.T) {
 	if QMax(8) != 127 || QMax(4) != 7 || QMax(2) != 1 {
 		t.Fatal("qmax values")

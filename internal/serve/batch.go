@@ -24,24 +24,40 @@ var ErrShutdown = errors.New("serve: server is shutting down")
 //     different image counts — merge into one fleet micro-batch
 //     (batch unit = images).
 //
-// A queue flushes when it reaches its size or when its oldest waiter has
-// waited window. Only calls with a server-assigned seed coalesce — a
-// caller that pins its own seed is asking for a specific fault stream
-// and gets a dedicated pass.
+// Dispatch is work-conserving: a waiter is held for company only while
+// every board is busy. A queue's pending batch is claimed
+//
+//   - at once, when a board is free (idle);
+//   - when it reaches its size (size);
+//   - when a pass of this batcher finishes below the board count — a
+//     lane just freed, and whatever is pending takes it (lane-freed);
+//   - when its oldest waiter has waited window (window).
+//
+// "A board is free" means active < sched.Size(): the batcher counts the
+// passes it has claimed and not finished itself. The scheduler's own
+// in-flight and queued counts lag a claim — a claimed pass reaches the
+// scheduler from a spawned goroutine — so a burst read against them
+// would see idle boards and leave as singles.
+//
+// Only calls with a server-assigned seed coalesce — a caller that pins
+// its own seed is asking for a specific fault stream and gets a
+// dedicated pass.
 type batcher struct {
 	sched  fleet.Scheduler
-	size   int // classify calls coalesced per eval pass
-	images int // images coalesced per inference pass
-	window time.Duration
+	window time.Duration // longest hold while every board is busy
 
 	// tracer supplies recycled span buffers for the shared fleet-job
 	// subtree of each coalesced batch. A nil tracer (tests building the
 	// batcher directly) traces nothing.
 	tracer *obs.Tracer
 
-	mu     sync.Mutex
-	cls    group // pending classify waiters
-	inf    group // pending infer waiters
+	mu  sync.Mutex
+	cls group // pending classify waiters
+	inf group // pending infer waiters
+	// active counts the passes claimed and not finished: coalesced
+	// batches and dedicated (pinned-seed, full-batch) passes alike.
+	active int
+	seq    int64 // arrival stamp of the last waiter
 	closed bool
 	wg     sync.WaitGroup
 
@@ -57,26 +73,31 @@ type batcher struct {
 }
 
 // group is one coalescing queue: its pending waiters, the batch-unit
-// total, and the window-timer state.
+// total against the size that flushes it, the pass that serves a
+// claimed batch, and the window-timer state.
 type group struct {
 	pending []*call
 	units   int
+	size    int
+	run     func([]*call)
 	timer   *time.Timer
 	// gen counts claimed batches. The window timer captures the
-	// generation it was armed for; a timer that fires late — after a
-	// size-triggered flush already claimed its batch — finds the
+	// generation it was armed for; a timer that fires late — after
+	// another trigger already claimed its batch — finds the
 	// generation advanced and returns instead of flushing the *next*
 	// batch's fresh waiters before their window expires.
 	gen int64
 }
 
 // call is one waiter and its result slot. imgs is nil for classify
-// calls; for infer calls it is the caller's images. traced marks a
-// waiter whose submitter carries a request trace — one traced waiter is
-// enough to make the batch record its shared fleet subtree.
+// calls; for infer calls it is the caller's images. seq orders waiters
+// by arrival across both queues. traced marks a waiter whose submitter
+// carries a request trace — one traced waiter is enough to make the
+// batch record its shared fleet subtree.
 type call struct {
 	imgs   []*tensor.Tensor
 	ch     chan callOut
+	seq    int64
 	traced bool
 }
 
@@ -104,7 +125,10 @@ func newBatcher(sched fleet.Scheduler, size, images int, window time.Duration) *
 	if window <= 0 {
 		window = 2 * time.Millisecond
 	}
-	return &batcher{sched: sched, size: size, images: images, window: window}
+	b := &batcher{sched: sched, window: window}
+	b.cls = group{size: size, run: b.runEval}
+	b.inf = group{size: images, run: b.runInfer}
+	return b
 }
 
 // Submit runs one classify call and blocks until it is served or ctx is
@@ -119,7 +143,9 @@ func (b *batcher) Submit(ctx context.Context, seed int64, tr *obs.Trace) (fleet.
 		return fleet.Result{}, 0, ErrShutdown
 	}
 	if seed != 0 {
+		b.active++
 		b.mu.Unlock()
+		defer b.passDone()
 		b.batches.Add(1)
 		b.observe("classify", 1)
 		sp := tr.Root().Child(obs.StageFleet)
@@ -129,7 +155,7 @@ func (b *batcher) Submit(ctx context.Context, seed int64, tr *obs.Trace) (fleet.
 	}
 	c := &call{ch: make(chan callOut, 1), traced: tr != nil}
 	wait := tr.Root().Child(obs.StageBatchWait)
-	b.enqueue(&b.cls, c, 1, b.size, b.runEval)
+	b.enqueue(&b.cls, c, 1)
 	select {
 	case out := <-c.ch:
 		b.graft(tr, wait, out)
@@ -152,8 +178,10 @@ func (b *batcher) SubmitInfer(ctx context.Context, imgs []*tensor.Tensor, seed i
 		b.mu.Unlock()
 		return nil, "", 0, 0, ErrShutdown
 	}
-	if seed != 0 || len(imgs) >= b.images {
+	if seed != 0 || len(imgs) >= b.inf.size {
+		b.active++
 		b.mu.Unlock()
+		defer b.passDone()
 		b.inferBatches.Add(1)
 		b.observe("infer", len(imgs))
 		sp := tr.Root().Child(obs.StageFleet)
@@ -166,7 +194,7 @@ func (b *batcher) SubmitInfer(ctx context.Context, imgs []*tensor.Tensor, seed i
 	}
 	c := &call{imgs: imgs, ch: make(chan callOut, 1), traced: tr != nil}
 	wait := tr.Root().Child(obs.StageBatchWait)
-	b.enqueue(&b.inf, c, len(imgs), b.images, b.runInfer)
+	b.enqueue(&b.inf, c, len(imgs))
 	select {
 	case out := <-c.ch:
 		b.graft(tr, wait, out)
@@ -223,21 +251,76 @@ func (b *batcher) jobTrace(batch []*call) (*obs.Trace, int64) {
 }
 
 // enqueue appends a waiter to a group under b.mu (held on entry,
-// released on return), flushing when the group reaches its unit size and
-// arming the window timer for a fresh batch's first waiter.
-func (b *batcher) enqueue(g *group, c *call, units, size int, run func([]*call)) {
-	first := len(g.pending) == 0
+// released on return). The batch leaves at once if that fills it or a
+// board is free; otherwise its first waiter arms the window.
+func (b *batcher) enqueue(g *group, c *call, units int) {
+	defer b.mu.Unlock()
+	b.seq++
+	c.seq = b.seq
 	g.pending = append(g.pending, c)
 	g.units += units
-	if g.units >= size {
-		batch := b.take(g)
-		b.mu.Unlock()
-		run(batch)
+	if g.units >= g.size {
+		b.claim(g)
 		return
 	}
-	if first {
+	b.dispatch()
+	if len(g.pending) > 0 && g.timer == nil {
 		gen := g.gen
-		g.timer = time.AfterFunc(b.window, func() { b.flush(g, gen, run) })
+		g.timer = time.AfterFunc(b.window, func() { b.flush(g, gen) })
+	}
+}
+
+// dispatch claims pending batches while a board is free, the queue with
+// the older head waiter first. Caller holds b.mu.
+func (b *batcher) dispatch() {
+	for b.active < b.sched.Size() {
+		var g *group
+		for _, q := range []*group{&b.cls, &b.inf} {
+			if len(q.pending) > 0 && (g == nil || q.pending[0].seq < g.pending[0].seq) {
+				g = q
+			}
+		}
+		if g == nil {
+			return
+		}
+		b.claim(g)
+	}
+}
+
+// claim takes a group's pending batch, advances its generation and
+// starts the pass. Caller holds b.mu.
+func (b *batcher) claim(g *group) {
+	batch := g.pending
+	g.pending = nil
+	g.units = 0
+	g.gen++
+	if g.timer != nil {
+		g.timer.Stop()
+		g.timer = nil
+	}
+	if len(batch) == 0 {
+		return
+	}
+	b.active++
+	g.run(batch)
+}
+
+// passDone retires one claimed pass and hands the lane it freed to
+// whatever is pending.
+func (b *batcher) passDone() {
+	b.mu.Lock()
+	b.active--
+	b.dispatch()
+	b.mu.Unlock()
+}
+
+// flush is the window-expiry path. gen identifies the batch the timer
+// was armed for; a mismatch means that batch was already claimed and the
+// pending list now holds fresh waiters whose window has not expired.
+func (b *batcher) flush(g *group, gen int64) {
+	b.mu.Lock()
+	if gen == g.gen {
+		b.claim(g)
 	}
 	b.mu.Unlock()
 }
@@ -270,68 +353,36 @@ func (b *batcher) abandon(c *call) {
 	}
 }
 
-// flush is the window-expiry path. gen identifies the batch the timer
-// was armed for; a mismatch means that batch was already claimed by the
-// size-triggered path and the pending list now holds fresh waiters
-// whose window has not expired.
-func (b *batcher) flush(g *group, gen int64, run func([]*call)) {
-	b.mu.Lock()
-	if gen != g.gen {
-		b.mu.Unlock()
-		return
-	}
-	batch := b.take(g)
-	b.mu.Unlock()
-	run(batch)
-}
-
-// take claims a group's pending batch and advances its generation.
-// Caller holds b.mu.
-func (b *batcher) take(g *group) []*call {
-	batch := g.pending
-	g.pending = nil
-	g.units = 0
-	g.gen++
-	if g.timer != nil {
-		g.timer.Stop()
-		g.timer = nil
-	}
-	return batch
-}
-
-// runEval serves one classify batch asynchronously: a single pool pass,
-// fanned out to every waiter. The batch context is independent of any
-// one caller's, so a canceled client cannot fail its batch-mates.
+// runEval serves one claimed classify batch asynchronously: a single
+// pool pass, fanned out to every waiter. The batch context is
+// independent of any one caller's, so a canceled client cannot fail its
+// batch-mates. Called under b.mu, like runInfer: the claim is stamped
+// here and the pass itself runs on its own goroutine.
 func (b *batcher) runEval(batch []*call) {
-	if len(batch) == 0 {
-		return
-	}
+	jt, claimed := b.jobTrace(batch)
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
 		b.batches.Add(1)
 		b.coalesced.Add(int64(len(batch) - 1))
 		b.observe("classify", len(batch))
-		jt, claimed := b.jobTrace(batch)
 		res, err := b.sched.Classify(context.Background(), fleet.Request{Span: jt.Root()})
 		jt.Root().End()
+		b.passDone()
 		for _, c := range batch {
 			c.ch <- callOut{res: res, batch: len(batch), err: err, jt: jt, claimedNS: claimed}
 		}
 	}()
 }
 
-// runInfer serves one coalesced inference micro-batch asynchronously:
+// runInfer serves one claimed inference micro-batch asynchronously:
 // every waiter's images merge into one fleet submission and each caller
 // gets back exactly its own slice of the per-image outputs.
 func (b *batcher) runInfer(batch []*call) {
-	if len(batch) == 0 {
-		return
-	}
+	jt, claimed := b.jobTrace(batch)
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		jt, claimed := b.jobTrace(batch)
 		asm := jt.Root().Child(obs.StageAssemble)
 		var imgs []*tensor.Tensor
 		for _, c := range batch {
@@ -343,6 +394,7 @@ func (b *batcher) runInfer(batch []*call) {
 		b.observe("infer", len(imgs))
 		res, err := b.sched.Infer(context.Background(), fleet.InferRequest{Images: imgs, Span: jt.Root()})
 		jt.Root().End()
+		b.passDone()
 		lo := 0
 		for _, c := range batch {
 			hi := lo + len(c.imgs)
@@ -370,10 +422,8 @@ func (b *batcher) observe(kind string, units int) {
 func (b *batcher) Close() {
 	b.mu.Lock()
 	b.closed = true
-	cls := b.take(&b.cls)
-	inf := b.take(&b.inf)
+	b.claim(&b.cls)
+	b.claim(&b.inf)
 	b.mu.Unlock()
-	b.runEval(cls)
-	b.runInfer(inf)
 	b.wg.Wait()
 }

@@ -108,21 +108,24 @@ func TestServeECCMetrics(t *testing.T) {
 // depend on what is behind the Scheduler interface.
 func TestServeEndpointAudit(t *testing.T) {
 	t.Run("pool", func(t *testing.T) {
-		_, ts := newTestServer(t, eccFleetConfig(false), Config{BatchWindow: time.Millisecond})
-		auditEndpoints(t, ts)
+		s, ts := newTestServer(t, eccFleetConfig(false), Config{BatchWindow: time.Millisecond})
+		auditEndpoints(t, s, ts)
 	})
 	t.Run("cluster", func(t *testing.T) {
 		pc := eccFleetConfig(false)
-		_, ts := newClusterTestServer(t, clusterConfig(2, pc), Config{BatchWindow: time.Millisecond})
-		auditEndpoints(t, ts)
+		s, ts := newClusterTestServer(t, clusterConfig(2, pc), Config{BatchWindow: time.Millisecond})
+		auditEndpoints(t, s, ts)
 	})
 }
 
-func auditEndpoints(t *testing.T, ts *httptest.Server) {
+func auditEndpoints(t *testing.T, s *Server, ts *httptest.Server) {
 	do := func(method, path, body string) *http.Response {
 		t.Helper()
 		var rd io.Reader
-		if body != "" {
+		if chunked := strings.TrimPrefix(body, "chunked:"); chunked != body {
+			// No declared Content-Length: the limit is met while reading.
+			rd = struct{ io.Reader }{strings.NewReader(chunked)}
+		} else if body != "" {
 			rd = strings.NewReader(body)
 		}
 		req, err := http.NewRequest(method, ts.URL+path, rd)
@@ -136,6 +139,8 @@ func auditEndpoints(t *testing.T, ts *httptest.Server) {
 		return resp
 	}
 
+	image := string(pixelsBody(testImage(s, 1)))
+	huge := `{"pixels":[` + strings.Repeat("0, ", 1<<16) + `0]}`
 	cases := []struct {
 		name   string
 		method string
@@ -143,6 +148,22 @@ func auditEndpoints(t *testing.T, ts *httptest.Server) {
 		body   string
 		want   int
 	}{
+		// Bodies over the limit: 413, from the declared length or while
+		// reading. The control endpoints stop at 64 KiB.
+		{"infer body too large", http.MethodPost, "/v1/infer", huge, http.StatusRequestEntityTooLarge},
+		{"infer chunked body too large", http.MethodPost, "/v1/infer", "chunked:" + huge, http.StatusRequestEntityTooLarge},
+		{"classify body too large", http.MethodPost, "/v1/classify", huge, http.StatusRequestEntityTooLarge},
+		{"classify chunked body too large", http.MethodPost, "/v1/classify", "chunked:" + huge, http.StatusRequestEntityTooLarge},
+		{"voltage body too large", http.MethodPost, "/v1/fleet/voltage", huge, http.StatusRequestEntityTooLarge},
+		{"governor body too large", http.MethodPost, "/v1/fleet/governor", huge, http.StatusRequestEntityTooLarge},
+		{"ecc body too large", http.MethodPost, "/v1/fleet/ecc", "chunked:" + huge, http.StatusRequestEntityTooLarge},
+		// Bytes after the JSON value.
+		{"infer trailing garbage", http.MethodPost, "/v1/infer", image + " x", http.StatusBadRequest},
+		{"infer two values", http.MethodPost, "/v1/infer", image + image, http.StatusBadRequest},
+		{"classify trailing garbage", http.MethodPost, "/v1/classify", `{"seed":1} x`, http.StatusBadRequest},
+		{"voltage trailing garbage", http.MethodPost, "/v1/fleet/voltage", `{"board":0,"mv":850}{}`, http.StatusBadRequest},
+		{"governor trailing garbage", http.MethodPost, "/v1/fleet/governor", `{} x`, http.StatusBadRequest},
+		{"ecc trailing garbage", http.MethodPost, "/v1/fleet/ecc", `{}]`, http.StatusBadRequest},
 		// Wrong method on every endpoint.
 		{"classify GET", http.MethodGet, "/v1/classify", "", http.StatusMethodNotAllowed},
 		{"infer GET", http.MethodGet, "/v1/infer", "", http.StatusMethodNotAllowed},

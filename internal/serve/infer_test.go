@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/binary"
@@ -75,16 +76,15 @@ func TestServeInferSingleImage(t *testing.T) {
 	}
 }
 
-// Concurrent per-image submissions coalesce into shared micro-batches:
-// fewer fleet passes than calls, and callers observe batch sizes > 1.
+// Concurrent per-image submissions coalesce into shared micro-batches
+// once every board is busy: twelve calls on three boards leave as three
+// singles and, when the first lane frees, one pass of the nine held.
 func TestServeInferCoalesces(t *testing.T) {
-	s, ts := newTestServer(t, fleet.Config{},
-		Config{BatchImages: 8, BatchWindow: 50 * time.Millisecond})
+	const calls, boards = 12, 3
+	s, ts, g := newGatedTestServer(t, boards, Config{BatchImages: 16, BatchWindow: time.Hour})
 
-	const calls = 12
+	sizes := make(chan int, calls)
 	var wg sync.WaitGroup
-	var sawShared bool
-	var mu sync.Mutex
 	for i := 0; i < calls; i++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -95,24 +95,36 @@ func TestServeInferCoalesces(t *testing.T) {
 				resp.Body.Close()
 				return
 			}
-			out := decode[inferResponse](t, resp)
-			mu.Lock()
-			if out.BatchSize > 1 {
-				sawShared = true
-			}
-			mu.Unlock()
+			sizes <- decode[inferResponse](t, resp).BatchSize
 		}(int64(i + 1))
 	}
+	for i := 0; i < boards; i++ {
+		if n := g.nextPass(t); n != 1 {
+			t.Fatalf("pass %d carried %d images, want a single", i, n)
+		}
+	}
+	waitPending(t, s.batch, &s.batch.inf, calls-boards)
+	g.noPass(t)
+	g.open()
 	wg.Wait()
+	close(sizes)
 
-	if runs := s.batch.inferBatches.Load(); runs >= calls {
-		t.Errorf("infer batches = %d for %d calls; coalescing never happened", runs, calls)
+	shared := 0
+	for n := range sizes {
+		if n == calls-boards {
+			shared++
+		} else if n != 1 {
+			t.Errorf("caller saw batch size %d, want 1 or %d", n, calls-boards)
+		}
 	}
-	if !sawShared {
-		t.Error("no caller observed a shared micro-batch")
+	if shared != calls-boards {
+		t.Errorf("%d callers shared the coalesced pass, want %d", shared, calls-boards)
 	}
-	if s.batch.inferCoalesced.Load() == 0 {
-		t.Error("inferCoalesced = 0, want > 0")
+	if runs := s.batch.inferBatches.Load(); runs != boards+1 {
+		t.Errorf("infer batches = %d for %d calls, want %d", runs, calls, boards+1)
+	}
+	if got := s.batch.inferCoalesced.Load(); got != calls-boards-1 {
+		t.Errorf("inferCoalesced = %d, want %d", got, calls-boards-1)
 	}
 	st := s.sched.Status()
 	if st.InferImages != calls {
@@ -153,6 +165,28 @@ func TestServeInferValidation(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+
+	// Non-finite pixels, one row per body form: base64 can carry the
+	// bits and is refused by index; a JSON number can only overflow.
+	pixels := testImage(s, 1)
+	pixels[7] = float32(math.Inf(1))
+	overflow := bytes.Replace(pixelsBody(testImage(s, 1)), []byte(`{"pixels":[`), []byte(`{"pixels":[1e39,`), 1)
+	overflow = overflow[:bytes.LastIndexByte(overflow, ',')]
+	for name, tc := range map[string]struct{ body, want string }{
+		"b64 +Inf pixel":     {string(b64Body(pixels)), "pixel 7 is not finite"},
+		"json overflowing":   {string(overflow) + "]}", "1e39"},
+		"valid then garbage": {string(pixelsBody(testImage(s, 1))) + "]", "after top-level value"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := decode[map[string]string](t, resp)["error"]
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %q", name, resp.StatusCode, msg, tc.want)
+		}
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/infer")
 	if err != nil {
 		t.Fatal(err)

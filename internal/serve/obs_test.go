@@ -313,7 +313,8 @@ func BenchmarkTracedInfer(b *testing.B) {
 			}
 			s := New(pool, Config{Trace: mode.trace})
 			defer s.Close()
-			img, err := s.decodeInferImage(inferRequest{Pixels: testImage(s, 5)})
+			shape := s.sched.InputShape()
+			img, err := tensor.FromSlice(testImage(s, 5), shape.C, shape.H, shape.W)
 			if err != nil {
 				b.Fatal(err)
 			}

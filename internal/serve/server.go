@@ -8,12 +8,9 @@ package serve
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -33,8 +30,9 @@ type Config struct {
 	// BatchImages is the maximum images coalesced into one inference
 	// micro-batch (default 16, the fleet's micro-batch size).
 	BatchImages int
-	// BatchWindow is how long the first call in a batch waits for
-	// company (default 2 ms).
+	// BatchWindow is the longest hold of a request for batch-mates while
+	// every board is busy (default 2 ms). With a board free a request is
+	// dispatched at once and never meets it.
 	BatchWindow time.Duration
 	// Trace enables request tracing: every classify/infer call records a
 	// span tree served back by /v1/trace/{id} and /v1/traces.
@@ -283,12 +281,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := tr.Root().Child(obs.StageDecode)
 	var req classifyRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			dec.End()
-			s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
+	if r.ContentLength != 0 && !s.readJSON(w, r, &req) {
+		dec.End()
+		return
 	}
 	dec.End()
 	start := time.Now()
@@ -327,7 +322,7 @@ func (s *Server) errorForSubmit(w http.ResponseWriter, err error) {
 
 // inferRequest is the /v1/infer body: one image as either a JSON float
 // array or a base64-encoded little-endian float32 buffer, in CHW order
-// matching the pool's input shape.
+// matching the pool's input shape. decode.go reads it.
 type inferRequest struct {
 	// Pixels is the image as a flat float array (CHW).
 	Pixels []float32 `json:"pixels,omitempty"`
@@ -353,33 +348,24 @@ type inferResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// decodeInferImage resolves the request body into a CHW tensor matching
-// the pool's input shape.
-func (s *Server) decodeInferImage(req inferRequest) (*tensor.Tensor, error) {
+// readInferImage reads one /v1/infer body (bounded by the input shape)
+// into pooled memory and decodes it into a CHW tensor matching the
+// pool's input shape, plus the request's seed.
+func (s *Server) readInferImage(w http.ResponseWriter, r *http.Request) (*tensor.Tensor, int64, error) {
 	shape := s.sched.InputShape()
 	want := shape.C * shape.H * shape.W
-	pixels := req.Pixels
-	if req.ImageB64 != "" {
-		if pixels != nil {
-			return nil, fmt.Errorf("provide pixels or image_b64, not both")
-		}
-		raw, err := base64.StdEncoding.DecodeString(req.ImageB64)
-		if err != nil {
-			return nil, fmt.Errorf("bad image_b64: %v", err)
-		}
-		if len(raw)%4 != 0 {
-			return nil, fmt.Errorf("image_b64 is %d bytes, not a float32 buffer", len(raw))
-		}
-		pixels = make([]float32, len(raw)/4)
-		for i := range pixels {
-			pixels[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-		}
+	bb := bodyPool.Get().(*bodyBuf)
+	defer bodyPool.Put(bb)
+	bb.body.Reset()
+	if err := readBody(w, r, inferBodyLimit(want), &bb.body); err != nil {
+		return nil, 0, err
 	}
-	if len(pixels) != want {
-		return nil, fmt.Errorf("image has %d values, want %d (%dx%dx%d CHW)",
-			len(pixels), want, shape.C, shape.H, shape.W)
+	pixels, seed, err := bb.decode(want)
+	if err != nil {
+		return nil, 0, err
 	}
-	return tensor.FromSlice(pixels, shape.C, shape.H, shape.W)
+	img, err := tensor.FromSlice(pixels, shape.C, shape.H, shape.W)
+	return img, seed, err
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
@@ -391,20 +377,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dec := tr.Root().Child(obs.StageDecode)
-	var req inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		dec.End()
-		s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	img, err := s.decodeInferImage(req)
+	img, seed, err := s.readInferImage(w, r)
 	dec.End()
 	if err != nil {
-		s.errorJSON(w, http.StatusBadRequest, err.Error())
+		s.errorJSON(w, statusForBody(err), err.Error())
 		return
 	}
 	start := time.Now()
-	outs, board, mv, batch, err := s.batch.SubmitInfer(r.Context(), []*tensor.Tensor{img}, req.Seed, tr)
+	outs, board, mv, batch, err := s.batch.SubmitInfer(r.Context(), []*tensor.Tensor{img}, seed, tr)
 	lat := time.Since(start)
 	s.inferLatency.Observe(lat.Seconds())
 	s.recordSLO(s.inferDigest, err, lat)
@@ -459,8 +439,7 @@ func (s *Server) handleVoltage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req voltageRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	if req.MV <= 0 {
@@ -546,8 +525,7 @@ func (s *Server) handleGovernor(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.governorReport(k))
 	case http.MethodPost:
 		var req governorRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		if !s.readJSON(w, r, &req) {
 			return
 		}
 		tn := fleet.GovernorTuning{
@@ -630,8 +608,7 @@ func (s *Server) handleECC(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.eccReport(k))
 	case http.MethodPost:
 		var req eccRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		if !s.readJSON(w, r, &req) {
 			return
 		}
 		if req.ScrubIntervalMS < 0 {

@@ -34,6 +34,21 @@ func newTestServer(t *testing.T, fcfg fleet.Config, scfg Config) (*Server, *http
 	return s, ts
 }
 
+// newGatedTestServer is newTestServer over a gated pool (batch_test.go):
+// passes stop at the gate until the test releases them.
+func newGatedTestServer(t *testing.T, boards int, scfg Config) (*Server, *httptest.Server, *gatedSched) {
+	t.Helper()
+	g := newGatedSched(t, boards)
+	s := New(g, scfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		g.open()
+		ts.Close()
+		s.Close()
+	})
+	return s, ts, g
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	buf, err := json.Marshal(body)
@@ -58,11 +73,13 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 }
 
 // Concurrent classify calls must all succeed and coalesce into fewer
-// accelerator passes than requests.
+// accelerator passes than requests: twelve calls on three boards leave
+// as three singles and, when the first lane frees, one pass for the nine
+// held.
 func TestServeClassifyBatches(t *testing.T) {
-	s, ts := newTestServer(t, fleet.Config{}, Config{BatchSize: 4, BatchWindow: 50 * time.Millisecond})
+	const calls, boards = 12, 3
+	s, ts, g := newGatedTestServer(t, boards, Config{BatchSize: 16, BatchWindow: time.Hour})
 
-	const calls = 12
 	var wg sync.WaitGroup
 	for i := 0; i < calls; i++ {
 		wg.Add(1)
@@ -78,21 +95,27 @@ func TestServeClassifyBatches(t *testing.T) {
 			if out.AccuracyPct <= 0 {
 				t.Errorf("accuracy = %.1f, want > 0", out.AccuracyPct)
 			}
-			if out.BatchSize < 1 {
-				t.Errorf("batch_size = %d, want >= 1", out.BatchSize)
+			if out.BatchSize != 1 && out.BatchSize != calls-boards {
+				t.Errorf("batch_size = %d, want 1 or %d", out.BatchSize, calls-boards)
 			}
 			if out.VCCINTmV > 620 {
 				t.Errorf("served at %.0f mV, want underscaled (<= 620)", out.VCCINTmV)
 			}
 		}()
 	}
+	for i := 0; i < boards; i++ {
+		g.nextPass(t)
+	}
+	waitPending(t, s.batch, &s.batch.cls, calls-boards)
+	g.noPass(t)
+	g.open()
 	wg.Wait()
 
-	if runs := s.batch.batches.Load(); runs >= calls {
-		t.Errorf("batches = %d for %d calls; batching never coalesced", runs, calls)
+	if runs := s.batch.batches.Load(); runs != boards+1 {
+		t.Errorf("batches = %d for %d calls, want %d", runs, calls, boards+1)
 	}
-	if s.batch.coalesced.Load() == 0 {
-		t.Error("coalesced = 0, want > 0")
+	if got := s.batch.coalesced.Load(); got != calls-boards-1 {
+		t.Errorf("coalesced = %d, want %d", got, calls-boards-1)
 	}
 }
 
