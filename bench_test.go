@@ -487,16 +487,15 @@ func BenchmarkClassifySteadyState(b *testing.B) {
 	})
 }
 
-// BenchmarkInferBatched measures the batch-native inference path at
-// batch sizes 1/8/32: a fixed 32-image workload is pushed through
-// Task.InferBatch in slices of the batch size, at equal voltage (550 mV,
-// critical region — MAC fault sampling live on every pass, the serving
-// regime). Larger batches amortize per-pass overhead, run one stacked
-// multi-RHS GEMM per layer, and fan the micro-batch across the DPU's
-// three cores, so images/sec rises with batch size (bounded by the
-// machine's usable cores; run with -cpu 4 so GOMAXPROCS covers the
-// DPU's core count). Reports images/sec and steady-state heap
-// allocations per image.
+// BenchmarkInferBatched is the executor's batch × pool-width latency
+// table (EXPERIMENTS.md, "Batch-native inference"): a fixed 16-image
+// workload is pushed through Task.InferBatch in passes of 1/2/4/8/16
+// images at SetWorkers 1 and 2, at 550 mV (critical region — MAC fault
+// sampling live on every pass, the serving regime). A pass is cut into
+// 2-image lanes that the pool's executors claim, so ns/op of batch=16
+// should approach 1/width of its width-1 figure, while a pass of one or
+// two images is a single lane whose GEMM macro-tiles fan out instead.
+// Reports images/sec and steady-state heap allocations per image.
 func BenchmarkInferBatched(b *testing.B) {
 	brd := board.MustNew(board.SampleB)
 	rt, err := dnndk.NewRuntime(brd, 3)
@@ -512,46 +511,46 @@ func BenchmarkInferBatched(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const images = 32
+	const images = 16
 	ds := bench.MakeDataset(images, 1)
 	if err := pmbus.NewAdapter(brd.Bus(), board.AddrVCCINT).SetVoltageMV(550); err != nil {
 		b.Fatal(err)
 	}
-	for _, bs := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			scratch := dpu.NewScratch()
-			master := rand.New(rand.NewSource(7))
-			pass := func() {
-				for lo := 0; lo < images; lo += bs {
-					hi := lo + bs
-					if hi > images {
-						hi = images
-					}
-					rngs := scratch.BatchRNGs(hi - lo)
-					for j := range rngs {
-						rngs[j].Seed(master.Int63())
-					}
-					if _, err := task.InferBatch(scratch, ds.Inputs[lo:hi], rngs); err != nil {
-						b.Fatal(err)
+	defer quant.SetWorkers(0)
+	for _, bs := range []int{1, 2, 4, 8, 16} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("batch=%d/workers=%d", bs, workers), func(b *testing.B) {
+				quant.SetWorkers(workers)
+				scratch := dpu.NewScratch()
+				master := rand.New(rand.NewSource(7))
+				pass := func() {
+					for lo := 0; lo < images; lo += bs {
+						rngs := scratch.BatchRNGs(bs)
+						for j := range rngs {
+							rngs[j].Seed(master.Int63())
+						}
+						if _, err := task.InferBatch(scratch, ds.Inputs[lo:lo+bs], rngs); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-			pass() // warm the arena (first pass grows the buffers)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pass()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			total := float64(b.N) * images
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(total/secs, "images/s")
-			}
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/img")
-		})
+				pass() // warm the arena (first pass grows the buffers)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				total := float64(b.N) * images
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(total/secs, "images/s")
+				}
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/img")
+			})
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Batch inference: per-image requests end to end. Concurrent HTTP
 // clients each POST one image to /v1/infer (half as JSON pixel arrays,
 // half as base64 float32 buffers); the front-end coalesces them into
-// shared micro-batches, the fleet fans each micro-batch across a board's
-// DPU cores as one stacked GEMM per layer, and every caller gets back
+// shared micro-batches, the fleet runs each micro-batch as lanes of
+// stacked GEMMs spread over the host's executors, and every caller gets back
 // its own prediction with the batch size its image rode in on.
 package main
 

@@ -57,8 +57,9 @@ func (r *Router) Status() fleet.Status {
 		agg.BRAMFaults += st.BRAMFaults
 		agg.GOPs += st.GOPs
 		// The GEMM worker pool is process-wide, so every pool reports the
-		// same value; carry it rather than summing.
+		// same values; carry them rather than summing.
 		agg.GemmWorkers = st.GemmWorkers
+		agg.GemmPool = st.GemmPool
 		gov = mergeGovernor(gov, st.Governor)
 		ecc = mergeECC(ecc, st.ECC)
 

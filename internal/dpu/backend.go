@@ -31,31 +31,29 @@ func ValidBackend(name string) bool {
 // with each other on the same weight image at every worker count —
 // only where the int8 MACs come from differs:
 //
-//   - dense: tiled int8 GEMM over the dense weight tensor, its columns
-//     read in place from the padded input frames
-//   - sparse: the same tiling over the block-sparse packed image,
-//     skipping fully-zero SparseBlockRows×1 weight blocks
+//   - gemm: the in-place int8 GEMM over the kernel's compiled operand —
+//     the dense weight tensor, or (sparse backend) the block-sparse
+//     packed image, skipping fully-zero SparseBlockRows×1 weight blocks
 //   - naive: the direct conv/FC reference kernels (the oracle)
 //
 // ConvBatch/DenseBatch run a lane's stacked sub-batch (a lone image is
 // the batch of one) with image b's accumulators at block b of *acc, in
-// the naive kernels' output layout.
+// the naive kernels' output layout. fan says whether the GEMM may split
+// its macro-tiles across the tile pool; the executor clears it when the
+// pass's lanes already cover the pool (batch.go).
 type ComputeBackend interface {
-	ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error)
-	DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32) (int, error)
+	ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32, fan bool) (quant.ConvShape, error)
+	DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32, fan bool) (int, error)
 }
 
-// backendFor resolves the backend one kernel executes on: the naive
-// oracle when reference kernels are forced, otherwise the kernel's
-// compiled backend.
-func (d *DPU) backendFor(k *Kernel) ComputeBackend {
+// backendFor resolves the backend a kernel executes on: the naive
+// oracle when reference kernels are forced, otherwise the GEMM engine
+// (dense or sparse by whether the kernel compiled a packed image).
+func (d *DPU) backendFor() ComputeBackend {
 	if d.refKernels {
 		return naiveBackend{}
 	}
-	if k.Backend == BackendSparse {
-		return sparseBackend{}
-	}
-	return denseBackend{}
+	return gemmBackend{}
 }
 
 // bramImage returns the node's BRAM-resident weight image — the tensor
@@ -71,26 +69,16 @@ func (d *DPU) bramImage(kn *KernelNode) *quant.QTensor {
 	return kn.WQ
 }
 
-// denseBackend is the in-place GEMM engine over dense weights.
-type denseBackend struct{}
+// gemmBackend is the in-place GEMM engine. kn.SW is set on exactly the
+// kernels compiled for the sparse backend (Kernel.Validate).
+type gemmBackend struct{}
 
-func (denseBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error) {
-	return quant.Conv2DInt8GemmBatch(xs, kn.WQ, kn.BiasQ, stride, pad, col, acc)
+func (gemmBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32, fan bool) (quant.ConvShape, error) {
+	return quant.ConvGemmBatch(xs, kn.WQ, kn.SW, kn.BiasQ, stride, pad, col, acc, fan)
 }
 
-func (denseBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32) (int, error) {
-	return quant.DenseInt8GemmBatch(xs, kn.WQ, kn.BiasQ, acc)
-}
-
-// sparseBackend is the same engine over the block-sparse packed image.
-type sparseBackend struct{}
-
-func (sparseBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, col *[]int8, acc *[]int32) (quant.ConvShape, error) {
-	return quant.Conv2DInt8GemmBatchSparse(xs, kn.SW, kn.BiasQ, stride, pad, col, acc)
-}
-
-func (sparseBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32) (int, error) {
-	return quant.DenseInt8GemmBatchSparse(xs, kn.SW, kn.BiasQ, acc)
+func (gemmBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32, fan bool) (int, error) {
+	return quant.DenseGemmBatch(xs, kn.WQ, kn.SW, kn.BiasQ, acc, fan)
 }
 
 // naiveBackend is the direct conv/FC reference oracle. Its results land
@@ -98,7 +86,7 @@ func (sparseBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int3
 // epilogue is shared verbatim and the paths cannot drift apart.
 type naiveBackend struct{}
 
-func (naiveBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, _ *[]int8, acc *[]int32) (quant.ConvShape, error) {
+func (naiveBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad int, _ *[]int8, acc *[]int32, _ bool) (quant.ConvShape, error) {
 	var sh quant.ConvShape
 	*acc = (*acc)[:0]
 	for b, x := range xs {
@@ -116,7 +104,7 @@ func (naiveBackend) ConvBatch(kn *KernelNode, xs []*quant.QTensor, stride, pad i
 	return sh, nil
 }
 
-func (naiveBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32) (int, error) {
+func (naiveBackend) DenseBatch(kn *KernelNode, xs []*quant.QTensor, acc *[]int32, _ bool) (int, error) {
 	width := 0
 	*acc = (*acc)[:0]
 	for b, x := range xs {

@@ -14,35 +14,41 @@ import (
 )
 
 // This file is the executor: one accelerator pass classifies a
-// micro-batch of images (a lone image is the batch of one). Per layer,
-// the batch's patch matrices stack into a single multi-RHS GEMM (an FC
-// layer is a GEMM over the batch), the micro-batch is split across the
-// DPU's cores (one lane per core, each advancing its images in layer
-// lockstep), and BRAM weight faults are flipped ONCE per pass and
-// restored after it — the paper-faithful persistence semantics (a
-// voltage-induced BRAM bit flip physically persists until scrub/reboot,
-// so every image of a pass observes the same corrupted weights), which
-// also keeps flip/restore off the per-image hot path and makes the
-// parallel lanes safe: the shared weight tensors are immutable while
-// the lanes run.
+// micro-batch of images (a lone image is the batch of one). The
+// micro-batch is cut into lanes of laneImages images (single images
+// when the pairs would not cover the pool) that the host's executors
+// claim one at a time, each lane advancing its images in layer
+// lockstep: per layer, a lane's frames stack into a single multi-RHS
+// GEMM (an FC layer is a GEMM over the lane). BRAM weight faults are
+// flipped ONCE per pass and restored after it — the paper-faithful
+// persistence semantics (a voltage-induced BRAM bit flip physically
+// persists until scrub/reboot, so every image of a pass observes the
+// same corrupted weights), which also keeps flip/restore off the
+// per-image hot path and makes the parallel lanes safe: the shared
+// weight tensors are immutable while the lanes run.
 
 // batchArena is the Scratch's pass-level state. All of it is arena-owned
 // and reused across passes, so a warm steady-state pass performs
 // near-zero heap allocations.
 type batchArena struct {
-	imgs  []*Scratch   // per-image sub-arenas (index = image ordinal)
-	lanes []*batchLane // per-DPU-core stacked GEMM buffers
-	res   []Result     // per-image staged results
+	imgs []*Scratch // per-image sub-arenas (index = image ordinal)
+	res  []Result   // per-image staged results
+	// lanes is the free list of stacked GEMM buffer sets. An executor
+	// holds one set per lane it runs, so an arena grows as many sets as
+	// executors have ever run one of its passes at once — not one per
+	// lane — and the set just released, still warm in that executor's
+	// cache, is the next one taken.
+	lanes []*batchLane
 	// flips are the pass's BRAM weight-corruption records, undone
 	// newest-first by restoreBatchWeights.
 	flips []byteRestore
 	rngs  []*rand.Rand // pooled per-image fault streams for callers
-	errMu sync.Mutex
+	mu    sync.Mutex   // guards lanes and err while the lanes run
 	err   error
 }
 
-// batchLane holds one core's stacked frame/accumulator buffers and its
-// batched-input gather table.
+// batchLane holds a running lane's stacked frame/accumulator buffers
+// and its batched-input gather table.
 type batchLane struct {
 	col []int8
 	acc []int32
@@ -59,6 +65,25 @@ type byteRestore struct {
 	old int8
 }
 
+// takeLane pops a buffer set off the free list, making one when every
+// existing set is held by a running lane.
+func (ba *batchArena) takeLane() *batchLane {
+	ba.mu.Lock()
+	defer ba.mu.Unlock()
+	if n := len(ba.lanes); n > 0 {
+		ln := ba.lanes[n-1]
+		ba.lanes = ba.lanes[:n-1]
+		return ln
+	}
+	return &batchLane{}
+}
+
+func (ba *batchArena) releaseLane(ln *batchLane) {
+	ba.mu.Lock()
+	ba.lanes = append(ba.lanes, ln)
+	ba.mu.Unlock()
+}
+
 // arena returns the pass-level state, creating it on first use.
 func (s *Scratch) arena() *batchArena {
 	if s.batch == nil {
@@ -67,14 +92,11 @@ func (s *Scratch) arena() *batchArena {
 	return s.batch
 }
 
-// batchBind readies the arena for a batch of n images across w lanes.
-func (s *Scratch) batchBind(n, w int) *batchArena {
+// batchBind readies the arena for a batch of n images.
+func (s *Scratch) batchBind(n int) *batchArena {
 	ba := s.arena()
 	for len(ba.imgs) < n {
 		ba.imgs = append(ba.imgs, NewScratch())
-	}
-	for len(ba.lanes) < w {
-		ba.lanes = append(ba.lanes, &batchLane{})
 	}
 	if cap(ba.res) < n {
 		ba.res = make([]Result, n)
@@ -112,7 +134,7 @@ func (s *Scratch) BatchRNGs(n int) []*rand.Rand {
 // execution path in this module already serializes per kernel (the
 // fleet's member lock; the single-goroutine campaigns and runtimes,
 // whose reference cache has the same confinement rule). Within one pass
-// the per-core lanes do share the kernel across goroutines — that is
+// the lanes do share the kernel across goroutines — that is
 // safe because the flips are applied before the lanes start and the
 // weights are immutable while they run.
 //
@@ -188,11 +210,9 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 		s = NewScratch()
 		detached = true
 	}
-	w := d.nCores
-	if w > n {
-		w = n
-	}
-	ba := s.batchBind(n, w)
+	w := quant.Workers()
+	per, lanes := laneSplit(n, w)
+	ba := s.batchBind(n)
 
 	// Persistent faults: flip once per pass, before the lanes start, so
 	// the shared weight tensors are immutable while the batch runs.
@@ -202,23 +222,25 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 		batchFlips, batchECC = d.flipBatchWeights(ba, k, pBRAM, rngs[0])
 	}
 
-	// Fan the batch across the DPU cores: lane c serves the contiguous
-	// image range [lo, hi). The lanes run on the same process-wide
-	// worker pool as the GEMM macro-tiles (quant.RunTiles), so lane- and
-	// tile-level parallelism draw from one budget and an oversubscribed
-	// box degrades to serial execution instead of thrashing; because
-	// each image's fault stream is its own rng and the lane split
-	// depends only on (n, nCores), results are identical at every pool
-	// width. A single lane runs inline.
-	if w == 1 {
-		d.runBatchLane(ba, ba.lanes[0], k, imgs, rngs, 0, n, pMAC)
+	// One level of parallelism per pass. The lanes go to the tile pool's
+	// executors (quant.RunTiles: the caller plus whichever helpers are
+	// free claim lanes from a cursor, so any pool width balances and an
+	// oversubscribed box degrades to a serial loop). Once the lanes alone
+	// cover the pool their GEMMs stay on the lane's goroutine; only a
+	// pass with fewer lanes than executors — the lone image — fans its
+	// GEMM macro-tiles out instead. Each image's fault stream is its own
+	// rng and its accumulator block is the batch of one's whatever lane
+	// it rides in, so results are identical at every pool width and
+	// every split. A single lane runs inline.
+	fan := lanes < w
+	if lanes == 1 {
+		d.runBatchLane(ba, k, imgs, rngs, 0, n, pMAC, fan)
 	} else {
 		lj := laneJobs.Get().(*laneJob)
 		lj.d, lj.ba, lj.k = d, ba, k
 		lj.imgs, lj.rngs = imgs, rngs
-		lj.pMAC = pMAC
-		lj.n, lj.w = n, w
-		quant.RunTiles(w, lj)
+		lj.pMAC, lj.fan, lj.per = pMAC, fan, per
+		quant.RunTiles(lanes, lj)
 	}
 
 	d.restoreBatchWeights(ba)
@@ -240,13 +262,35 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	return ba.res, nil
 }
 
+// laneImages is the lane width: the images one executor advances in
+// lockstep per claim. Two is the block kernel's column pair — an FC
+// layer's columns are the lane's images, so a lane of one runs the
+// two-lane step half empty and streams the FC weights once per image —
+// and per-image time is flat from there to 16, so wider lanes would only
+// coarsen the split (16 images are 8 claims: 4+4 on two executors, 3+3+2
+// on three).
+const laneImages = 2
+
+// laneSplit cuts an n-image pass for a pool of w executors: lanes of
+// laneImages images, or — when that many pairs would leave executors
+// idle (two images on two executors) — of one image each. It returns the
+// images per lane and the lane count.
+func laneSplit(n, w int) (per, lanes int) {
+	per = laneImages
+	if (n+per-1)/per < w {
+		per = 1
+	}
+	return per, (n + per - 1) / per
+}
+
 // laneJob is the pooled work descriptor that fans a batch's lanes out
-// over the shared quant worker pool: tile index c is DPU core c,
-// serving the same contiguous image range the dedicated per-lane
-// goroutines used to (span n/w rounded up for the first n%w lanes).
-// Lanes write disjoint arena state (per-image sub-arenas and result
-// slots, per-lane GEMM buffers); the shared weight tensors are
-// immutable while the lanes run.
+// over the shared quant worker pool: tile index c is lane c, serving
+// images [c*per, (c+1)*per) of the batch. Lanes are a property of the
+// host — how the pass is cut for the executors that exist — and
+// unrelated to DPU.Cores(), which parameterizes only the GOPs and power
+// models. Lanes write disjoint arena state (per-image sub-arenas and
+// result slots, the GEMM buffer set each holds while it runs); the
+// shared weight tensors are immutable while the lanes run.
 type laneJob struct {
 	quant.TileJob
 	d    *DPU
@@ -255,7 +299,8 @@ type laneJob struct {
 	imgs []*tensor.Tensor
 	rngs []*rand.Rand
 	pMAC float64
-	n, w int
+	fan  bool
+	per  int
 }
 
 var laneJobs = sync.Pool{New: func() any { return new(laneJob) }}
@@ -268,26 +313,26 @@ func (lj *laneJob) Recycle() {
 }
 
 func (lj *laneJob) Tile(c int) {
-	span := lj.n / lj.w
-	lo := c*span + min(c, lj.n%lj.w)
-	if c < lj.n%lj.w {
-		span++
-	}
-	lj.d.runBatchLane(lj.ba, lj.ba.lanes[c], lj.k, lj.imgs, lj.rngs, lo, lo+span, lj.pMAC)
+	lo := c * lj.per
+	hi := min(lo+lj.per, len(lj.imgs))
+	lj.d.runBatchLane(lj.ba, lj.k, lj.imgs, lj.rngs, lo, hi, lj.pMAC, lj.fan)
 }
 
 // runBatchLane advances images [lo, hi) through the graph in layer
 // lockstep: conv/FC nodes run as one stacked GEMM over the lane's
 // sub-batch, every other node runs per image through the shared host-op
-// executor. Errors are recorded on the arena (first one wins).
-func (d *DPU) runBatchLane(ba *batchArena, ln *batchLane, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, lo, hi int, pMAC float64) {
+// executor; fan lets those GEMMs use the tile pool. Errors are recorded
+// on the arena (first one wins).
+func (d *DPU) runBatchLane(ba *batchArena, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, lo, hi int, pMAC float64, fan bool) {
 	fail := func(err error) {
-		ba.errMu.Lock()
+		ba.mu.Lock()
 		if ba.err == nil {
 			ba.err = err
 		}
-		ba.errMu.Unlock()
+		ba.mu.Unlock()
 	}
+	ln := ba.takeLane()
+	defer ba.releaseLane(ln)
 	for i := lo; i < hi; i++ {
 		sc := ba.imgs[i]
 		sc.bind(k)
@@ -302,7 +347,7 @@ func (d *DPU) runBatchLane(ba *batchArena, ln *batchLane, k *Kernel, imgs []*ten
 		kn := &k.Nodes[idx]
 		switch n.Op.(type) {
 		case *nn.Conv2D, *nn.Dense:
-			if err := d.runBatchWeightLayer(ba, ln, idx, n, kn, k, rngs, lo, hi, pMAC); err != nil {
+			if err := d.runBatchWeightLayer(ba, ln, idx, n, kn, k, rngs, lo, hi, pMAC, fan); err != nil {
 				fail(err)
 				return
 			}
@@ -331,7 +376,7 @@ func (d *DPU) runBatchLane(ba *batchArena, ln *batchLane, k *Kernel, imgs []*ten
 // shared by every backend, and each image's accumulator block has the
 // naive kernels' layout whatever the batch size, so the oracle and
 // engine paths — and the batch of one and of N — cannot drift apart.
-func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.Node, kn *KernelNode, k *Kernel, rngs []*rand.Rand, lo, hi int, pMAC float64) error {
+func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.Node, kn *KernelNode, k *Kernel, rngs []*rand.Rand, lo, hi int, pMAC float64, fan bool) error {
 	nb := hi - lo
 	if cap(ln.xs) < nb {
 		ln.xs = make([]*quant.QTensor, nb)
@@ -345,12 +390,12 @@ func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.N
 		xs[b] = x
 	}
 
-	be := d.backendFor(k)
+	be := d.backendFor()
 	var blockLen, nd int
 	var dims [3]int
 	switch op := n.Op.(type) {
 	case *nn.Conv2D:
-		sh, err := be.ConvBatch(kn, xs, op.Stride, op.Pad, &ln.col, &ln.acc)
+		sh, err := be.ConvBatch(kn, xs, op.Stride, op.Pad, &ln.col, &ln.acc, fan)
 		if err != nil {
 			return fmt.Errorf("dpu: node %q: %w", n.Label, err)
 		}
@@ -358,7 +403,7 @@ func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.N
 		dims = [3]int{sh.OutC, sh.OutH, sh.OutW}
 		nd = 3
 	case *nn.Dense:
-		width, err := be.DenseBatch(kn, xs, &ln.acc)
+		width, err := be.DenseBatch(kn, xs, &ln.acc, fan)
 		if err != nil {
 			return fmt.Errorf("dpu: node %q: %w", n.Label, err)
 		}

@@ -229,7 +229,7 @@ func TestRunBatchValidation(t *testing.T) {
 // determinism contract: with live MAC and BRAM fault injection, a batch
 // run at 1 pool worker and at N pool workers produces bit-identical
 // results (predictions, probabilities, fault statistics). The lane
-// split depends only on (batch, cores) and each image owns its fault
+// split depends only on the batch size and each image owns its fault
 // stream, so the pool width must never be observable in the output.
 func TestRunBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer quant.SetWorkers(0)

@@ -26,8 +26,8 @@ type Config struct {
 	// 24.3% BRAM, 25.6% DSP).
 	Util fabric.Utilization
 	// GemmWorkers tunes the process-wide GEMM tile worker pool that the
-	// compute engine's macro-tiles and the batch executor's per-core
-	// lanes share (quant.SetWorkers): > 0 pins the pool width, 0 leaves
+	// compute engine's macro-tiles and the batch executor's lanes
+	// share (quant.SetWorkers): > 0 pins the pool width, 0 leaves
 	// the current setting (GOMAXPROCS-aware automatic by default)
 	// untouched. The pool is one per process, so the last DPU programmed
 	// with a non-zero value wins.

@@ -53,7 +53,9 @@ func (d *DPU) Board() *board.ZCU102 { return d.brd }
 // Config returns the core variant.
 func (d *DPU) Config() Config { return d.cfg }
 
-// Cores returns the instantiated core count.
+// Cores returns the instantiated core count: fabric utilization and the
+// GOPs and power models scale with it. It plays no part in how the host
+// executes a pass (batch.go cuts a pass for the executors that exist).
 func (d *DPU) Cores() int { return d.nCores }
 
 // SetReferenceKernels toggles the naive direct conv/FC kernels in place of

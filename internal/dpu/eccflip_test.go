@@ -215,7 +215,7 @@ func TestRestoreCoversEveryPass(t *testing.T) {
 			}
 			overlapped := false
 			for seed := int64(1); seed <= 20; seed++ {
-				ba := s.batchBind(1, 1)
+				ba := s.batchBind(1)
 				if n, _ := d.flipBatchWeights(ba, k, pBRAM, rand.New(rand.NewSource(seed))); n == 0 {
 					t.Fatalf("seed %d: no BRAM faults at p=%g", seed, pBRAM)
 				}

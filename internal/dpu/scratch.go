@@ -10,7 +10,7 @@ import (
 )
 
 // Scratch is a per-worker arena for the inference hot path. The arena a
-// caller owns holds the pass-level state (batch: per-core stacked GEMM
+// caller owns holds the pass-level state (batch: per-executor stacked GEMM
 // buffers, staged results, weight-restore records) plus one sub-arena —
 // itself a Scratch — per image of the largest batch it has run: the
 // quantized-input staging tensor and a per-node activation ring, keyed
@@ -45,7 +45,7 @@ type Scratch struct {
 	// ReLU node aliases the producer's activation.
 	fuseReLU []nn.NodeID
 
-	// batch is the pass-level state: per-image sub-arenas, per-DPU-core
+	// batch is the pass-level state: per-image sub-arenas, per-executor
 	// stacked GEMM buffers, and the pass's weight-restore records. Nil
 	// until the first run on this Scratch; sized by the largest batch it
 	// has run.

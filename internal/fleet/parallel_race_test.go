@@ -10,18 +10,22 @@ import (
 
 // TestConcurrentClassifiesSharedGemmPool hammers the process-wide GEMM
 // tile worker pool from many directions at once: the pool is pinned
-// wider than one, several boards serve concurrently (each batch fans
-// its lanes into the shared pool, and every lane's tiled GEMMs fan out
-// again), and classify/infer traffic arrives from many caller
-// goroutines. Under -race this proves tile jobs from unrelated requests
-// never share mutable state — disjoint dst tiles, refcounted job
-// recycling, and per-lane arena scratch all hold up under
-// oversubscription.
+// wider than one, several boards serve concurrently, and classify/infer
+// traffic arrives from many caller goroutines. An 8-image evaluation
+// pass is four lanes on the four-wide pool — one pool job, its GEMMs
+// serial inside the lanes — while a 3-image infer is two lanes, fewer
+// than the pool, so its lanes' tiled GEMMs fan out again from inside.
+// Both shapes share helpers across boards. Under -race this proves jobs from
+// unrelated requests never share mutable state — disjoint dst tiles,
+// refcounted job recycling, and per-lane arena scratch all hold up
+// under oversubscription — and that the pool's counters, read through
+// Status while it runs, account for the work.
 func TestConcurrentClassifiesSharedGemmPool(t *testing.T) {
 	defer quant.SetWorkers(0)
 	quant.SetWorkers(4)
 	p := newTestPool(t, testConfig(2))
-	imgs := inferImages(t, p, 8, 5)
+	imgs := inferImages(t, p, 3, 5)
+	before := p.Status().GemmPool
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -44,6 +48,9 @@ func TestConcurrentClassifiesSharedGemmPool(t *testing.T) {
 	}
 	wg.Wait()
 	st := p.Status()
+	if got := st.GemmPool; got.Jobs <= before.Jobs || got.CallerTiles <= before.CallerTiles {
+		t.Fatalf("tile pool counters did not move under load: %+v -> %+v", before, got)
+	}
 	if st.GemmWorkers != 4 {
 		t.Fatalf("Status().GemmWorkers = %d, want 4", st.GemmWorkers)
 	}

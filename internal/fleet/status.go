@@ -237,6 +237,10 @@ type Status struct {
 	// GemmWorkers is the effective width of the process-wide GEMM tile
 	// worker pool (shared by conv macro-tiles and batch lanes).
 	GemmWorkers int `json:"gemm_workers"`
+	// GemmPool is that pool's lifetime activity (process-wide, like
+	// GemmWorkers): refused offers against accepted ones, and tiles run
+	// by callers against helpers, are how oversubscription reads.
+	GemmPool quant.TilePoolStats `json:"gemm_pool"`
 	// Governor is the pool-wide adaptive-voltage snapshot (nil when
 	// the pool has no governor).
 	Governor *GovernorStatus `json:"governor,omitempty"`
@@ -271,6 +275,7 @@ func (p *Pool) Status() Status {
 		MACFaults:         p.macF.Load(),
 		BRAMFaults:        p.bramF.Load(),
 		GemmWorkers:       quant.Workers(),
+		GemmPool:          quant.PoolStats(),
 		Closed:            p.closing.Load(),
 	}
 	st.Requests = st.EvalRequests + st.InferRequests

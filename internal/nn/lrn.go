@@ -66,8 +66,18 @@ func (l *LRN) Forward(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	xd, od := x.Data(), out.Data()
 	hw := s.H * s.W
 	half := l.Size / 2
+	// A zero centre (about half of a post-ReLU map) normalizes to
+	// 0/denom = itself, sign included, so the window sum and the pow can
+	// be skipped — provided denom is positive and not NaN whatever the
+	// window holds: with these constants it is at least K^Beta > 0.
+	// (Only a NaN neighbour would have made the unskipped quotient differ.)
+	skipZero := l.K > 0 && l.Alpha >= 0 && l.Beta >= 0 && math.Pow(l.K, l.Beta) > 0
 	for p := 0; p < hw; p++ {
 		for c := 0; c < s.C; c++ {
+			if skipZero && xd[c*hw+p] == 0 {
+				od[c*hw+p] = xd[c*hw+p]
+				continue
+			}
 			var sum float64
 			lo := c - half
 			hi := c + half

@@ -82,3 +82,49 @@ func TestLRNBoundedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLRNZeroSkipBitExact holds the zero-centre shortcut to the
+// unskipped formula bit for bit: +0 and -0 centres (the sign must
+// survive), negatives, a pixel whose whole window is zero, and a zero
+// centre between large neighbours.
+func TestLRNZeroSkipBitExact(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	const c, hw = 7, 4
+	// Channel-major, 4 pixels: p0 mixed zeros, p1 all zero, p2 a zero
+	// between large neighbours, p3 dense.
+	data := []float32{
+		0, 0, 1e6, 0.5,
+		negZero, 0, 0, -1.5,
+		-3, negZero, -1e6, 2,
+		0, 0, 7, -0.25,
+		2.5, negZero, negZero, 4,
+		negZero, 0, 0, -8,
+		-1, 0, 3, 1,
+	}
+	in, err := tensor.FromSlice(data, c, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*LRN{NewLRN(), {Size: 3, K: 1, Alpha: 2, Beta: 0.5}, {Size: 1, K: 0.5, Alpha: 0, Beta: 2}} {
+		out, err := l.Forward([]*tensor.Tensor{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := l.Size / 2
+		for p := 0; p < hw; p++ {
+			for ch := 0; ch < c; ch++ {
+				var sum float64
+				for cc := max(ch-half, 0); cc <= min(ch+half, c-1); cc++ {
+					v := float64(data[cc*hw+p])
+					sum += v * v
+				}
+				want := float32(float64(data[ch*hw+p]) / math.Pow(l.K+l.Alpha/float64(l.Size)*sum, l.Beta))
+				got := out.Data()[ch*hw+p]
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("lrn %+v ch %d px %d: got %v (%#x), unskipped formula %v (%#x)",
+						*l, ch, p, got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}

@@ -44,7 +44,7 @@ func validateBatch(xs []*QTensor) error {
 // OutC×Pixels layout. Both buffers are grown in place and reused across
 // calls. Bit-exact with Conv2DInt8 per image at every worker count.
 func Conv2DInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
-	return convGemmBatch(xs, w, weights{dense: w.Data}, biasQ, stride, pad, col, acc)
+	return ConvGemmBatch(xs, w, nil, biasQ, stride, pad, col, acc, true)
 }
 
 // Conv2DInt8GemmBatchSparse is Conv2DInt8GemmBatch over block-sparse
@@ -52,21 +52,35 @@ func Conv2DInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, stride, pad i
 // blocks. Bit-exact with Conv2DInt8GemmBatch and Conv2DInt8 on the
 // unpacked weights.
 func Conv2DInt8GemmBatchSparse(xs []*QTensor, sw *SparseWeights, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
-	hdr := sw.header()
-	return convGemmBatch(xs, &hdr, weights{sparse: sw}, biasQ, stride, pad, col, acc)
+	return ConvGemmBatch(xs, nil, sw, biasQ, stride, pad, col, acc, true)
 }
 
-// convGemmBatch is the shared conv lowering; hdr carries the weights'
-// logical OIHW shape for geometry validation.
-func convGemmBatch(xs []*QTensor, hdr *QTensor, w weights, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
+// operand resolves a lowering's weight arguments — the packed image when
+// sw is set, the dense tensor w otherwise — into the logical-shape header
+// and the block kernel's operand.
+func operand(w *QTensor, sw *SparseWeights) (QTensor, weights) {
+	if sw != nil {
+		return sw.header(), weights{sparse: sw}
+	}
+	return *w, weights{dense: w.Data}
+}
+
+// ConvGemmBatch is the conv lowering behind the two named forms above:
+// over sw's packed image when sw is set, over the dense OIHW tensor w
+// otherwise. fan lets the stacked GEMM split its macro-tiles across the
+// worker pool; a caller that is already one of a pass's parallel lanes
+// passes false and keeps the GEMM on its own goroutine — same bits
+// either way.
+func ConvGemmBatch(xs []*QTensor, w *QTensor, sw *SparseWeights, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32, fan bool) (ConvShape, error) {
+	hdr, wt := operand(w, sw)
 	if err := validateBatch(xs); err != nil {
 		return ConvShape{}, err
 	}
-	sh, err := ConvShapeOf(xs[0], hdr, biasQ, stride, pad)
+	sh, err := ConvShapeOf(xs[0], &hdr, biasQ, stride, pad)
 	if err != nil {
 		return sh, err
 	}
-	if sw := w.sparse; sw != nil && (sw.M != sh.OutC || sw.K != sh.Cols()) {
+	if sw != nil && (sw.M != sh.OutC || sw.K != sh.Cols()) {
 		return sh, fmt.Errorf("quant: sparse conv weights %dx%d do not match geometry %dx%d", sw.M, sw.K, sh.OutC, sh.Cols())
 	}
 	n := len(xs)
@@ -81,7 +95,7 @@ func convGemmBatch(xs []*QTensor, hdr *QTensor, w weights, biasQ []int32, stride
 		frame: *col, kw: sh.K, wp: wp, plane: hp * wp, stride: stride, outW: sh.OutW,
 		span: (sh.InC-1)*hp*wp + (sh.K-1)*wp + sh.K,
 	}
-	gemmInt8Tiled(*acc, w, frames, sh.OutC, sh.Cols(), n, sh.Pixels(), biasQ)
+	gemmInt8Tiled(*acc, wt, frames, sh.OutC, sh.Cols(), n, sh.Pixels(), biasQ, fan)
 	return sh, nil
 }
 
@@ -114,23 +128,23 @@ func padFrame(frame, x []int8, sh ConvShape) {
 // place and reused across calls. Bit-exact with DenseInt8 per image at
 // every worker count.
 func DenseInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, acc *[]int32) (int, error) {
-	if len(w.Dims) != 2 {
-		return 0, fmt.Errorf("quant: fc weights must be 2-D, got %v", w.Dims)
-	}
-	return fcGemmBatch(xs, weights{dense: w.Data}, w.Dims[0], w.Dims[1], biasQ, acc)
+	return DenseGemmBatch(xs, w, nil, biasQ, acc, true)
 }
 
 // DenseInt8GemmBatchSparse is DenseInt8GemmBatch over block-sparse
 // packed weights.
 func DenseInt8GemmBatchSparse(xs []*QTensor, sw *SparseWeights, biasQ []int32, acc *[]int32) (int, error) {
-	if len(sw.Dims) != 2 {
-		return 0, fmt.Errorf("quant: fc weights must be 2-D, got %v", sw.Dims)
-	}
-	return fcGemmBatch(xs, weights{sparse: sw}, sw.M, sw.K, biasQ, acc)
+	return DenseGemmBatch(xs, nil, sw, biasQ, acc, true)
 }
 
-// fcGemmBatch is the shared FC lowering of an out×in weight operand.
-func fcGemmBatch(xs []*QTensor, w weights, out, in int, biasQ []int32, acc *[]int32) (int, error) {
+// DenseGemmBatch is the FC lowering behind the two named forms above,
+// with ConvGemmBatch's operand and fan rules.
+func DenseGemmBatch(xs []*QTensor, w *QTensor, sw *SparseWeights, biasQ []int32, acc *[]int32, fan bool) (int, error) {
+	hdr, wt := operand(w, sw)
+	if len(hdr.Dims) != 2 {
+		return 0, fmt.Errorf("quant: fc weights must be 2-D, got %v", hdr.Dims)
+	}
+	out, in := hdr.Dims[0], hdr.Dims[1]
 	if err := validateBatch(xs); err != nil {
 		return 0, err
 	}
@@ -141,6 +155,6 @@ func fcGemmBatch(xs []*QTensor, w weights, out, in int, biasQ []int32, acc *[]in
 		return 0, fmt.Errorf("quant: fc bias length %d != %d", len(biasQ), out)
 	}
 	*acc = growInt32(*acc, len(xs)*out)
-	denseInt8Tiled(*acc, w, biasQ, xs, in, out)
+	denseInt8Tiled(*acc, wt, biasQ, xs, in, out, fan)
 	return out, nil
 }

@@ -87,15 +87,16 @@ func (x rhs) slab(b, n int) rhs {
 // w[m×k]·x[b]ᵀ — x.frame holds the slabs' equal-sized frames back to
 // back, n columns of k taps each, per-slab output blocks dst[b*m*n:] in
 // row-major m×n layout — splitting the slab × macro-tile grid across the
-// worker pool. With one effective worker, or a problem too small to
-// tile, the slabs run in order through the block kernel, keeping the
-// small weight matrix cache-resident across the whole stacked walk while
-// each frame streams exactly once.
-func gemmInt8Tiled(dst []int32, w weights, x rhs, m, k, slabs, n int, bias []int32) {
+// worker pool when fan is set. Without it (the caller is already one of
+// a pass's parallel lanes), with one effective worker, or on a problem
+// too small to tile, the slabs run in order through the block kernel,
+// keeping the small weight matrix cache-resident across the whole
+// stacked walk while each frame streams exactly once.
+func gemmInt8Tiled(dst []int32, w weights, x rhs, m, k, slabs, n int, bias []int32, fan bool) {
 	mt := (m + tileM - 1) / tileM
 	nt := (n + tileN - 1) / tileN
 	tiles := slabs * mt * nt
-	if tiles <= 1 || Workers() <= 1 {
+	if !fan || tiles <= 1 || Workers() <= 1 {
 		for b := 0; b < slabs; b++ {
 			w.gemmBlock(dst[b*m*n:(b+1)*m*n], n, 1, x.slab(b, slabs), 0, m, 0, n, k, bias)
 		}
@@ -134,13 +135,13 @@ func (d *denseJob) Tile(t int) {
 }
 
 // denseInt8Tiled computes the batched FC product, splitting tileM-row
-// output bands across the worker pool. Row bands partition only the
-// output dimension — every band streams the full inputs — so each
-// output element is computed by one worker in serial accumulation
-// order: bit-exact at every width.
-func denseInt8Tiled(dst []int32, w weights, bias []int32, xs []*QTensor, in, out int) {
+// output bands across the worker pool when fan is set. Row bands
+// partition only the output dimension — every band streams the full
+// inputs — so each output element is computed by one worker in serial
+// accumulation order: bit-exact at every width.
+func denseInt8Tiled(dst []int32, w weights, bias []int32, xs []*QTensor, in, out int, fan bool) {
 	tiles := (out + tileM - 1) / tileM
-	if tiles <= 1 || Workers() <= 1 {
+	if !fan || tiles <= 1 || Workers() <= 1 {
 		w.gemmBlock(dst, 1, out, rhs{xs: xs, kw: in}, 0, out, 0, len(xs), in, bias)
 		return
 	}

@@ -109,7 +109,7 @@ func checkInPlace(t *testing.T, ctx string, xs []*QTensor, w *QTensor, bias []in
 			assertSameInt32(t, at+" sparse in place vs naive", acc[:len(want)], want)
 			for name, wt := range map[string]weights{"dense": {dense: w.Data}, "sparse": {sparse: sw}} {
 				got := make([]int32, len(want))
-				gemmInt8Tiled(got, wt, patchRHS(patches[:n*sh.Pixels()*sh.Cols()], sh.Pixels(), sh.Cols()), sh.OutC, sh.Cols(), n, sh.Pixels(), bias)
+				gemmInt8Tiled(got, wt, patchRHS(patches[:n*sh.Pixels()*sh.Cols()], sh.Pixels(), sh.Cols()), sh.OutC, sh.Cols(), n, sh.Pixels(), bias, true)
 				assertSameInt32(t, at+" "+name+" over the patch matrix vs naive", got, want)
 			}
 		}

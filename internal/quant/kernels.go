@@ -144,11 +144,42 @@ func poolQInto(dst, x *QTensor, kernel, stride int, global, isMax bool) error {
 	if outH <= 0 || outW <= 0 {
 		return fmt.Errorf("quant: pool output collapses")
 	}
-	out := dst
-	out.Data = growInt8(out.Data, c*outH*outW)
-	out.Dims = append(out.Dims[:0], c, outH, outW)
-	out.Scale = x.Scale
-	out.Bits = x.Bits
+	dst.Data = growInt8(dst.Data, c*outH*outW)
+	dst.Dims = append(dst.Dims[:0], c, outH, outW)
+	dst.Scale = x.Scale
+	dst.Bits = x.Bits
+	if isMax && !global && kernel == 2 {
+		maxPool2(dst.Data, x.Data, c, h, w, outH, outW, stride)
+	} else {
+		poolWindows(dst.Data, x.Data, c, h, w, outH, outW, kernel, stride, isMax)
+	}
+	return nil
+}
+
+// maxPool2 is max pooling over 2×2 windows, the shape every deployed
+// benchmark but AlexNet pools with. A non-global window is in bounds by
+// construction of outH/outW, so an output row reads two input rows with
+// no per-tap tests, and the maxima are taken on values widened to int32:
+// post-ReLU codes make an int8 compare-and-branch a coin flip, an int32
+// max is a conditional move.
+func maxPool2(dst, x []int8, c, h, w, outH, outW, stride int) {
+	for ch := 0; ch < c; ch++ {
+		for oy := 0; oy < outH; oy++ {
+			r0 := x[(ch*h+oy*stride)*w:][:w]
+			r1 := x[(ch*h+oy*stride+1)*w:][:w]
+			o := dst[(ch*outH+oy)*outW:][:outW]
+			for ox := range o {
+				ix := ox * stride
+				o[ox] = int8(max(int32(r0[ix]), int32(r0[ix+1]), int32(r1[ix]), int32(r1[ix+1])))
+			}
+		}
+	}
+}
+
+// poolWindows is the generic pooling loop: any window, clipped at the
+// bottom/right edge (a global pool over a non-square map), max or
+// average. It is also the oracle maxPool2 is tested against.
+func poolWindows(dst, x []int8, c, h, w, outH, outW, kernel, stride int, isMax bool) {
 	for ch := 0; ch < c; ch++ {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
@@ -165,7 +196,7 @@ func poolQInto(dst, x *QTensor, kernel, stride int, global, isMax bool) error {
 						if ix >= w {
 							continue
 						}
-						v := int32(x.Data[(ch*h+iy)*w+ix])
+						v := int32(x[(ch*h+iy)*w+ix])
 						if v > best {
 							best = v
 						}
@@ -184,11 +215,10 @@ func poolQInto(dst, x *QTensor, kernel, stride int, global, isMax bool) error {
 						res = int32((sum - int64(count)/2) / int64(count))
 					}
 				}
-				out.Data[(ch*outH+oy)*outW+ox] = int8(res)
+				dst[(ch*outH+oy)*outW+ox] = int8(res)
 			}
 		}
 	}
-	return nil
 }
 
 // AddQInto adds quantized tensors element-wise into a reused

@@ -7,14 +7,18 @@ import (
 )
 
 // This file is the process-wide tile worker pool behind the parallel
-// GEMM lowerings (and the DPU's batch lanes, which share it so lane- and
-// tile-level parallelism contend for one budget instead of
-// oversubscribing the box). The design is deliberately non-blocking:
-// RunTiles offers work to idle helpers but never waits for one — the
-// calling goroutine always participates and, when every helper is busy,
-// simply runs the whole index space itself. Nested RunTiles calls (a
-// batch lane whose stacked GEMM fans out again) therefore cannot
-// deadlock: a job's items only ever wait on strictly deeper jobs.
+// GEMM lowerings and the DPU's batch lanes. A pass uses it at one level:
+// with at least as many lanes as executors the lanes are the tiles and
+// their GEMMs stay on the lane's goroutine; only a pass smaller than the
+// pool (the lone image) fans its GEMM macro-tiles out instead. The
+// design is deliberately non-blocking: RunTiles offers work to idle
+// helpers but never waits for one — the calling goroutine always
+// participates and, when every helper is busy, simply runs the whole
+// index space itself. Nested RunTiles calls (a lane of a small pass on
+// a wide pool) therefore cannot deadlock: a job's items only ever wait
+// on strictly deeper jobs — but a caller parked in wg.Wait cannot take
+// a nested offer either, which is why a pass nests only while lanes
+// alone would leave executors idle.
 //
 // Work items are Tiler values whose coordination state (TileJob) is
 // embedded in a caller-pooled struct, so a steady-state parallel GEMM
@@ -40,6 +44,35 @@ var tileQueue = make(chan Tiler, maxGemmWorkers)
 // helperCount tracks spawned helper goroutines (at most
 // maxGemmWorkers-1; the caller is always the remaining executor).
 var helperCount atomic.Int32
+
+// TilePoolStats is the pool's lifetime activity, counted once per job or
+// per drain, never per tile. An offer is accepted when a helper ran at
+// least one of the job's tiles and refused otherwise (queue full, or
+// every tile was claimed before a helper got to it), so on an
+// oversubscribed host Refused approaches Accepted+Refused and
+// HelperTiles approaches 0.
+type TilePoolStats struct {
+	// Jobs counts index spaces offered to the pool; serial runs
+	// (one worker, one tile) are not jobs.
+	Jobs        int64 `json:"jobs"`
+	Accepted    int64 `json:"offers_accepted"`
+	Refused     int64 `json:"offers_refused"`
+	CallerTiles int64 `json:"caller_tiles"`
+	HelperTiles int64 `json:"helper_tiles"`
+}
+
+var poolJobs, poolAccepted, poolRefused, poolCallerTiles, poolHelperTiles atomic.Int64
+
+// PoolStats snapshots the pool counters.
+func PoolStats() TilePoolStats {
+	return TilePoolStats{
+		Jobs:        poolJobs.Load(),
+		Accepted:    poolAccepted.Load(),
+		Refused:     poolRefused.Load(),
+		CallerTiles: poolCallerTiles.Load(),
+		HelperTiles: poolHelperTiles.Load(),
+	}
+}
 
 // Workers returns the effective GEMM worker-pool size: the SetWorkers
 // override when one is set, otherwise GOMAXPROCS, both capped at
@@ -114,6 +147,7 @@ func RunTiles(n int, t Tiler) {
 	j.wg.Add(n)
 	j.refs.Store(1)
 	ensureHelpers(w - 1)
+	poolJobs.Add(1)
 	for i := 0; i < w-1; i++ {
 		j.refs.Add(1)
 		select {
@@ -122,25 +156,27 @@ func RunTiles(n int, t Tiler) {
 			// Queue full: every helper is busy (or has a pending offer);
 			// stop offering and do the rest ourselves.
 			j.refs.Add(-1)
+			poolRefused.Add(int64(w - 1 - i))
 			i = w
 		}
 	}
-	drainTiles(t, j)
+	poolCallerTiles.Add(drainTiles(t, j))
 	j.wg.Wait()
 	releaseTile(t, j)
 }
 
 // drainTiles claims and runs tiles until the job's cursor passes the
-// end of the index space.
-func drainTiles(t Tiler, j *TileJob) {
+// end of the index space, and returns how many it ran.
+func drainTiles(t Tiler, j *TileJob) (ran int64) {
 	n := j.n
 	for {
 		i := j.next.Add(1) - 1
 		if i >= n {
-			return
+			return ran
 		}
 		t.Tile(int(i))
 		j.wg.Done()
+		ran++
 	}
 }
 
@@ -179,7 +215,12 @@ func ensureHelpers(want int) {
 func tileHelper() {
 	for t := range tileQueue {
 		j := t.Job()
-		drainTiles(t, j)
+		if ran := drainTiles(t, j); ran > 0 {
+			poolAccepted.Add(1)
+			poolHelperTiles.Add(ran)
+		} else {
+			poolRefused.Add(1)
+		}
 		releaseTile(t, j)
 	}
 }

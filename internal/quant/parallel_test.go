@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // randI8 fills a fresh length-n slice with random int8 values across
@@ -78,7 +79,7 @@ func TestTiledGemmBitExactGrid(t *testing.T) {
 				for _, w := range []int{1, 2, 3, 4, 5} {
 					SetWorkers(w)
 					got := make([]int32, m*n)
-					gemmInt8Tiled(got, weights{dense: a}, patchRHS(bt, n, k), m, k, 1, n, bias)
+					gemmInt8Tiled(got, weights{dense: a}, patchRHS(bt, n, k), m, k, 1, n, bias, true)
 					assertSameInt32(t, fmt.Sprintf("tiled m=%d n=%d k=%d workers=%d", m, n, k, w), got, want)
 				}
 				SetWorkers(0)
@@ -103,7 +104,7 @@ func TestTiledMultiRHSBitExactFuzz(t *testing.T) {
 		bias := randBias(rng, m)
 		SetWorkers(1 + rng.Intn(6))
 		got := make([]int32, slabs*m*pix)
-		gemmInt8Tiled(got, weights{dense: a}, patchRHS(bt, pix, k), m, k, slabs, pix, bias)
+		gemmInt8Tiled(got, weights{dense: a}, patchRHS(bt, pix, k), m, k, slabs, pix, bias, true)
 		for b := 0; b < slabs; b++ {
 			want := gemmOracle(a, bt[b*pix*k:(b+1)*pix*k], m, k, pix, bias)
 			assertSameInt32(t, fmt.Sprintf("iter=%d slab=%d m=%d k=%d pix=%d workers=%d", iter, b, m, k, pix, Workers()),
@@ -190,9 +191,57 @@ func TestRunTilesCoverage(t *testing.T) {
 	}
 }
 
+// TestPoolStatsAccounting pins what the pool counters mean: a serial
+// run is not a job; a fanned-out job is one job making Workers()-1
+// offers, each of which ends accepted (a helper ran tiles) or refused
+// (queue full, or drained before a helper got there); and every tile is
+// counted once, to the caller or to a helper. Helper-side counts land
+// after a drain returns, possibly after RunTiles has, so the test waits
+// for the sums to settle; offers earlier tests left queued resolve
+// (refused, their jobs long drained) during this one, so the offer count
+// is a floor.
+func TestPoolStatsAccounting(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
+	before := PoolStats()
+	RunTiles(64, &countJob{hits: make([]atomic.Int32, 64)})
+	if got := PoolStats(); got.Jobs != before.Jobs || got.CallerTiles != before.CallerTiles {
+		t.Fatalf("serial run moved the pool counters: %+v -> %+v", before, got)
+	}
+
+	SetWorkers(4)
+	const jobs, tiles = 20, 64
+	for i := 0; i < jobs; i++ {
+		RunTiles(tiles, &countJob{hits: make([]atomic.Int32, tiles)})
+	}
+	var d TilePoolStats
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		now := PoolStats()
+		d = TilePoolStats{
+			Jobs:        now.Jobs - before.Jobs,
+			Accepted:    now.Accepted - before.Accepted,
+			Refused:     now.Refused - before.Refused,
+			CallerTiles: now.CallerTiles - before.CallerTiles,
+			HelperTiles: now.HelperTiles - before.HelperTiles,
+		}
+		if d.Accepted+d.Refused >= jobs*3 && d.CallerTiles+d.HelperTiles == jobs*tiles {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool counters never settled: %+v, want %d offers and %d tiles", d, jobs*3, jobs*tiles)
+		}
+	}
+	if d.Jobs != jobs {
+		t.Fatalf("%d jobs counted, want %d", d.Jobs, jobs)
+	}
+	if d.HelperTiles > 0 && d.Accepted == 0 || d.HelperTiles == 0 && d.Accepted > 0 {
+		t.Fatalf("helper tiles and accepted offers disagree: %+v", d)
+	}
+}
+
 // TestRunTilesNested pins the no-deadlock guarantee: jobs that fan out
-// again from inside Tile (the DPU's batch lanes each running a tiled
-// GEMM) complete with every inner index executed exactly once, even
+// again from inside Tile (the lanes of a pass smaller than the pool,
+// each running a tiled GEMM) complete with every inner index executed exactly once, even
 // when the pool is saturated by the outer level.
 func TestRunTilesNested(t *testing.T) {
 	defer SetWorkers(0)

@@ -252,6 +252,39 @@ func TestPoolQ(t *testing.T) {
 	}
 }
 
+// TestMaxPool2MatchesGenericLoop holds the 2×2 max-pool path to the
+// generic window loop bit for bit: every stride, odd and even maps
+// (ragged right/bottom columns the windows never reach), the full int8
+// range including -128, and post-ReLU-like half-zero data.
+func TestMaxPool2MatchesGenericLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		c, h, w := 1+rng.Intn(3), 2+rng.Intn(9), 2+rng.Intn(9)
+		stride := 1 + rng.Intn(3)
+		x := &QTensor{Dims: []int{c, h, w}, Data: make([]int8, c*h*w), Scale: 0.25, Bits: 8}
+		for i := range x.Data {
+			if trial%2 == 0 || rng.Intn(2) == 0 {
+				x.Data[i] = int8(rng.Intn(256) - 128)
+			}
+		}
+		var got QTensor
+		if err := MaxPoolQInto(&got, x, 2, stride, false); err != nil {
+			t.Fatal(err)
+		}
+		outH, outW := (h-2)/stride+1, (w-2)/stride+1
+		if got.Dims[0] != c || got.Dims[1] != outH || got.Dims[2] != outW || got.Scale != x.Scale {
+			t.Fatalf("trial %d: dims %v scale %g", trial, got.Dims, got.Scale)
+		}
+		want := make([]int8, c*outH*outW)
+		poolWindows(want, x.Data, c, h, w, outH, outW, 2, stride, true)
+		for i := range want {
+			if got.Data[i] != want[i] {
+				t.Fatalf("trial %d (%dx%dx%d stride %d): out[%d] = %d, generic loop %d", trial, c, h, w, stride, i, got.Data[i], want[i])
+			}
+		}
+	}
+}
+
 func TestAddQAndConcatQ(t *testing.T) {
 	a := &QTensor{Data: []int8{10, 20}, Dims: []int{2, 1, 1}, Scale: 0.1, Bits: 8}
 	b := &QTensor{Data: []int8{5, 5}, Dims: []int{2, 1, 1}, Scale: 0.2, Bits: 8}

@@ -177,10 +177,32 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"uvolt_slo_availability_target", "uvolt_slo_latency_target_seconds",
 		"uvolt_slo_burn_rate", "uvolt_slo_burning", "uvolt_slo_burn_events_total",
 		"uvolt_endpoint_latency_seconds", "uvolt_pool_job_latency_seconds",
+		"uvolt_gemm_workers", "uvolt_gemm_pool_jobs_total",
+		"uvolt_gemm_pool_offers_total", "uvolt_gemm_pool_tiles_total",
 	} {
 		if typ[want] == "" {
 			t.Errorf("family %s missing from exposition", want)
 		}
+	}
+
+	// The tile-pool counters split offers by outcome and tiles by runner.
+	poolSeries := map[string]bool{}
+	for _, smp := range samples {
+		if strings.HasPrefix(smp.name, "uvolt_gemm_pool_") {
+			poolSeries[smp.name+"/"+smp.labels["result"]+smp.labels["by"]] = true
+		}
+	}
+	for _, want := range []string{
+		"uvolt_gemm_pool_jobs_total/",
+		"uvolt_gemm_pool_offers_total/accepted", "uvolt_gemm_pool_offers_total/refused",
+		"uvolt_gemm_pool_tiles_total/caller", "uvolt_gemm_pool_tiles_total/helper",
+	} {
+		if !poolSeries[want] {
+			t.Errorf("tile-pool series %s missing from exposition", want)
+		}
+	}
+	if len(poolSeries) != 5 {
+		t.Errorf("tile-pool series = %v, want exactly five", poolSeries)
 	}
 
 	// The backend info gauge carries the resolved backend as a label and

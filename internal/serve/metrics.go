@@ -96,6 +96,11 @@ func (s *Server) renderMetrics() string {
 	counter("uvolt_fleet_shed_total", "Requests refused by admission control (HTTP 429).", st.Shed)
 	gauge("uvolt_fleet_throughput_gops", "Aggregate modeled throughput (GOPs).", fmt.Sprintf("%.2f", st.GOPs))
 	gauge("uvolt_gemm_workers", "Effective width of the shared GEMM tile worker pool.", st.GemmWorkers)
+	counter("uvolt_gemm_pool_jobs_total", "Index spaces (a pass's lanes, or a GEMM's macro-tiles) offered to the tile pool.", st.GemmPool.Jobs)
+	fmt.Fprintf(&b, "# HELP uvolt_gemm_pool_offers_total Tile-pool offers by outcome: accepted (a helper ran tiles) or refused (none free in time).\n# TYPE uvolt_gemm_pool_offers_total counter\n")
+	fmt.Fprintf(&b, "uvolt_gemm_pool_offers_total{result=\"accepted\"} %d\nuvolt_gemm_pool_offers_total{result=\"refused\"} %d\n", st.GemmPool.Accepted, st.GemmPool.Refused)
+	fmt.Fprintf(&b, "# HELP uvolt_gemm_pool_tiles_total Tiles of pool jobs by who ran them.\n# TYPE uvolt_gemm_pool_tiles_total counter\n")
+	fmt.Fprintf(&b, "uvolt_gemm_pool_tiles_total{by=\"caller\"} %d\nuvolt_gemm_pool_tiles_total{by=\"helper\"} %d\n", st.GemmPool.CallerTiles, st.GemmPool.HelperTiles)
 	gauge("uvolt_sparsity", "Pruned-away weight fraction of the deployed kernels (0 = dense).",
 		fmt.Sprintf("%.4f", st.Sparsity))
 	fmt.Fprintf(&b, "# HELP uvolt_backend_info Compute backend the deployed kernels compiled for (value is always 1).\n# TYPE uvolt_backend_info gauge\n")
