@@ -15,6 +15,7 @@ import (
 	"fpgauv/internal/nn"
 	"fpgauv/internal/prune"
 	"fpgauv/internal/quant"
+	"fpgauv/internal/tensor"
 )
 
 // QuantizeOptions configures DECENT quantization.
@@ -102,18 +103,27 @@ func Quantize(b *models.Benchmark, opts QuantizeOptions) (*dpu.Kernel, error) {
 
 	foldBatchNorm(b.Graph)
 
-	// Calibration: observe per-node activation ranges on a small
-	// deterministic calibration set.
-	calib := quant.NewCalibrator()
+	// Calibration: observe per-node activation ranges (max-abs) on a
+	// small deterministic calibration set. Each image's forward reduces
+	// to its per-node max-abs on the goroutine that ran it; the fold runs
+	// in image order afterwards.
 	calibSet := b.MakeDataset(opts.CalibImages, opts.CalibSeed^0xca11b)
-	for _, img := range calibSet.Inputs {
-		calib.Observe("input", img)
-		outs, err := b.Graph.ForwardAll(img)
-		if err != nil {
-			return nil, fmt.Errorf("dnndk: calibration: %w", err)
+	ranges := make([][]float32, len(calibSet.Inputs))
+	err := b.Graph.ForwardEach(calibSet.Inputs, func(i int, outs []*tensor.Tensor) {
+		ranges[i] = make([]float32, len(outs))
+		for j, out := range outs {
+			ranges[i][j] = out.MaxAbs()
 		}
-		for i, out := range outs {
-			calib.Observe(nodeKey(i), out)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dnndk: calibration: %w", err)
+	}
+	var inMax float32
+	nodeMax := make([]float32, len(b.Graph.Nodes()))
+	for i, img := range calibSet.Inputs {
+		inMax = max(inMax, img.MaxAbs())
+		for j, m := range ranges[i] {
+			nodeMax[j] = max(nodeMax[j], m)
 		}
 	}
 
@@ -122,7 +132,7 @@ func Quantize(b *models.Benchmark, opts QuantizeOptions) (*dpu.Kernel, error) {
 		Graph:       b.Graph,
 		Bits:        opts.Bits,
 		Classes:     b.Classes,
-		InScale:     calib.Scale("input", opts.Bits),
+		InScale:     quant.ScaleFor(inMax, opts.Bits),
 		Nodes:       make([]dpu.KernelNode, len(b.Graph.Nodes())),
 		ComputeFrac: b.ComputeFrac,
 		Sparsity:    sparsity,
@@ -157,7 +167,7 @@ func Quantize(b *models.Benchmark, opts QuantizeOptions) (*dpu.Kernel, error) {
 			kn.WQ = wq
 			kn.AccScale = inputScaleOf(n) * wq.Scale
 			kn.BiasQ = quant.QuantizeBias(op.Bias, kn.AccScale)
-			kn.OutScale = calib.Scale(nodeKey(i), opts.Bits)
+			kn.OutScale = quant.ScaleFor(nodeMax[i], opts.Bits)
 			actScale[i] = kn.OutScale
 		case *nn.Dense:
 			wq, err := quant.Quantize(op.Weights, opts.Bits)
@@ -167,7 +177,7 @@ func Quantize(b *models.Benchmark, opts QuantizeOptions) (*dpu.Kernel, error) {
 			kn.WQ = wq
 			kn.AccScale = inputScaleOf(n) * wq.Scale
 			kn.BiasQ = quant.QuantizeBias(op.Bias, kn.AccScale)
-			kn.OutScale = calib.Scale(nodeKey(i), opts.Bits)
+			kn.OutScale = quant.ScaleFor(nodeMax[i], opts.Bits)
 			actScale[i] = kn.OutScale
 		case *nn.Pool2D, nn.ReLU, nn.Flatten:
 			// Scale-preserving ops inherit their input's scale.
@@ -176,7 +186,7 @@ func Quantize(b *models.Benchmark, opts QuantizeOptions) (*dpu.Kernel, error) {
 		default:
 			// Rescaling ops (Add, Concat, BatchNorm, Sigmoid,
 			// Softmax) use their calibrated output range.
-			kn.OutScale = calib.Scale(nodeKey(i), opts.Bits)
+			kn.OutScale = quant.ScaleFor(nodeMax[i], opts.Bits)
 			actScale[i] = kn.OutScale
 		}
 	}
@@ -231,9 +241,6 @@ func selectBackend(k *dpu.Kernel, requested string) error {
 	}
 	return nil
 }
-
-// nodeKey is the calibrator key for node index i.
-func nodeKey(i int) string { return fmt.Sprintf("node%d", i) }
 
 // utilScaleFor adjusts a benchmark's dynamic-power factor for precision:
 // narrower multipliers toggle fewer DSP bits, so dynamic power scales

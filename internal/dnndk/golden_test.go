@@ -1,0 +1,72 @@
+package dnndk
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"fpgauv/internal/dpu"
+	"fpgauv/internal/models"
+)
+
+// kernelFingerprint hashes everything calibration and weight
+// quantization decide: the input scale, every node's activation,
+// accumulator and weight scale bits, and every WQ and bias byte.
+func kernelFingerprint(k *dpu.Kernel) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put32 := func(v uint32) {
+		binary.LittleEndian.PutUint32(b[:4], v)
+		_, _ = h.Write(b[:4])
+	}
+	put32(math.Float32bits(k.InScale))
+	for _, kn := range k.Nodes {
+		put32(math.Float32bits(kn.OutScale))
+		put32(math.Float32bits(kn.AccScale))
+		if kn.WQ == nil {
+			continue
+		}
+		put32(math.Float32bits(kn.WQ.Scale))
+		for _, v := range kn.WQ.Data {
+			_, _ = h.Write([]byte{byte(v)})
+		}
+		for _, v := range kn.BiasQ {
+			put32(uint32(v))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestDeployGoldenFingerprints pins calibration output bit for bit:
+// recorded at PR 16 (before the float reference conv became a row walk
+// and the calibration forwards fanned out), one fingerprint per Tiny
+// benchmark dense and 50% block-pruned. Any drift in the float
+// accumulation order moves a max-abs, hence a scale, hence these.
+func TestDeployGoldenFingerprints(t *testing.T) {
+	golden := map[string][2]uint64{
+		"VGGNet":    {0x64e43fd926fd520e, 0x2c41debb9db0ee6e},
+		"GoogleNet": {0xaa258ce9bb5254e0, 0x243e37983c02efde},
+		"AlexNet":   {0x7f0ce4f8d7af6ac0, 0xc03c50a9d8f391f3},
+		"ResNet50":  {0x4197410676920ad0, 0x83cd712bfe23f4e0},
+		"Inception": {0x17cdb7a79eeb7c1d, 0xab896a23137de1d2},
+	}
+	for _, name := range models.Names() {
+		for i, sparsity := range []float64{0, 0.5} {
+			b, err := models.New(name, models.Tiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultQuantizeOptions()
+			opts.Sparsity = sparsity
+			opts.PruneBlocks = sparsity > 0
+			k, err := Quantize(b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := kernelFingerprint(k), golden[name][i]; got != want {
+				t.Errorf("%s sparsity %.1f: fingerprint %#016x, want %#016x", name, sparsity, got, want)
+			}
+		}
+	}
+}

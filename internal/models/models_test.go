@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"fpgauv/internal/nn"
 	"fpgauv/internal/tensor"
 )
 
@@ -220,5 +221,47 @@ func TestGOpAccounting(t *testing.T) {
 func TestPresetString(t *testing.T) {
 	if Tiny.String() != "tiny" || Small.String() != "small" || Preset(9).String() != "preset?" {
 		t.Fatal("preset strings")
+	}
+}
+
+// TestCenteringMatchesSequential pins each benchmark's centered
+// classifier bias, bit for bit, to the sequential centering loop the
+// fan-out replaced: probe forwards in order, logits summed into a
+// float64 mean image by image. (Tiny only: the order argument does not
+// depend on the preset, and Small costs ~20 s under -race.)
+func TestCenteringMatchesSequential(t *testing.T) {
+	for _, name := range Names() {
+		got, err := New(name, Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := builders[name](Tiny)
+		nodes := ref.Graph.Nodes()
+		var id nn.NodeID
+		for _, n := range nodes {
+			if _, ok := n.Op.(*nn.Dense); ok {
+				id = n.ID
+			}
+		}
+		const probeN = 16
+		probe := NewDataset("probe", ref.Classes, ref.InputShape, probeN, seedFor(ref.Name)^0x9e0be)
+		classifier := nodes[id].Op.(*nn.Dense)
+		mean := make([]float64, classifier.Out)
+		for _, img := range probe.Inputs {
+			outs, err := ref.Graph.ForwardAll(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, v := range outs[id].Data() {
+				mean[c] += float64(v) / probeN
+			}
+		}
+		gotBias := got.Graph.Nodes()[id].Op.(*nn.Dense).Bias
+		for c := range classifier.Bias {
+			want := classifier.Bias[c] - float32(mean[c])
+			if math.Float32bits(gotBias[c]) != math.Float32bits(want) {
+				t.Fatalf("%s: bias[%d] = %v, sequential %v", name, c, gotBias[c], want)
+			}
+		}
 	}
 }

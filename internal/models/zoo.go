@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"fpgauv/internal/nn"
+	"fpgauv/internal/tensor"
 )
 
 // Benchmark bundles one Table 1 entry: the network architecture, its
@@ -86,23 +87,22 @@ func Names() []string {
 	return []string{"VGGNet", "GoogleNet", "AlexNet", "ResNet50", "Inception"}
 }
 
+// builders maps each benchmark name to its (uncentered) constructor.
+var builders = map[string]func(Preset) *Benchmark{
+	"VGGNet":    newVGGNet,
+	"GoogleNet": newGoogleNet,
+	"AlexNet":   newAlexNet,
+	"ResNet50":  newResNet50,
+	"Inception": newInception,
+}
+
 // New constructs a benchmark by name at the given preset.
 func New(name string, preset Preset) (*Benchmark, error) {
-	var b *Benchmark
-	switch name {
-	case "VGGNet":
-		b = newVGGNet(preset)
-	case "GoogleNet":
-		b = newGoogleNet(preset)
-	case "AlexNet":
-		b = newAlexNet(preset)
-	case "ResNet50":
-		b = newResNet50(preset)
-	case "Inception":
-		b = newInception(preset)
-	default:
+	build, ok := builders[name]
+	if !ok {
 		return nil, fmt.Errorf("models: unknown benchmark %q", name)
 	}
+	b := build(preset)
 	centerClassifier(b)
 	return b, nil
 }
@@ -140,14 +140,18 @@ func centerClassifier(b *Benchmark) {
 	}
 	const probeN = 16
 	probe := NewDataset("probe", b.Classes, b.InputShape, probeN, seedFor(b.Name)^0x9e0be)
+	logits := make([][]float32, probeN)
+	err := b.Graph.ForwardEach(probe.Inputs, func(i int, outs []*tensor.Tensor) {
+		logits[i] = append([]float32(nil), outs[classifierID].Data()...)
+	})
+	if err != nil {
+		panic(fmt.Sprintf("models: %s probe inference: %v", b.Name, err))
+	}
+	// Fold in probe order: the float64 mean is summed as the sequential
+	// loop summed it, whatever the fan-out width.
 	mean := make([]float64, classifier.Out)
-	for _, img := range probe.Inputs {
-		outs, err := b.Graph.ForwardAll(img)
-		if err != nil {
-			panic(fmt.Sprintf("models: %s probe inference: %v", b.Name, err))
-		}
-		logits := outs[classifierID]
-		for c, v := range logits.Data() {
+	for _, l := range logits {
+		for c, v := range l {
 			mean[c] += float64(v) / probeN
 		}
 	}

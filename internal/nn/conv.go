@@ -47,6 +47,9 @@ func (c *Conv2D) OutShape(in []Shape) (Shape, error) {
 	if s.C != c.InC {
 		return Shape{}, fmt.Errorf("nn: conv input channels %d != %d", s.C, c.InC)
 	}
+	if c.Kernel <= 0 || c.Stride <= 0 {
+		return Shape{}, fmt.Errorf("nn: conv kernel/stride must be positive")
+	}
 	oh := (s.H+2*c.Pad-c.Kernel)/c.Stride + 1
 	ow := (s.W+2*c.Pad-c.Kernel)/c.Stride + 1
 	if oh <= 0 || ow <= 0 {
@@ -69,7 +72,12 @@ func (c *Conv2D) MACs(in []Shape) int64 {
 	return int64(out.H*out.W) * int64(c.OutC) * int64(c.InC*c.Kernel*c.Kernel)
 }
 
-// Forward implements Op (float32 reference path).
+// Forward implements Op (float32 reference path). It walks output
+// rows: each plane starts at the bias, then every tap (ic, ky, kx) adds
+// x*w along the run of outputs it reaches in bounds. Every output thus
+// sums bias then its taps in (ic, ky, kx) order with one acc += x*w per
+// tap, as the direct formula does, so the result is bit-identical to it
+// (DESIGN.md, "The float reference path").
 func (c *Conv2D) Forward(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	x, err := one("conv", in)
 	if err != nil {
@@ -87,37 +95,58 @@ func (c *Conv2D) Forward(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	xd, wd, od := x.Data(), c.Weights.Data(), out.Data()
 	k, st, pad := c.Kernel, c.Stride, c.Pad
 	for oc := 0; oc < os.C; oc++ {
-		bias := c.Bias[oc]
-		wBase := oc * c.InC * k * k
-		for oy := 0; oy < os.H; oy++ {
-			for ox := 0; ox < os.W; ox++ {
-				acc := bias
-				iy0 := oy*st - pad
-				ix0 := ox*st - pad
-				for ic := 0; ic < c.InC; ic++ {
-					xBase := ic * s.H * s.W
-					wcBase := wBase + ic*k*k
-					for ky := 0; ky < k; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= s.H {
-							continue
-						}
-						rowX := xBase + iy*s.W
-						rowW := wcBase + ky*k
-						for kx := 0; kx < k; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= s.W {
-								continue
+		plane := od[oc*os.H*os.W : (oc+1)*os.H*os.W]
+		for i := range plane {
+			plane[i] = c.Bias[oc]
+		}
+		for ic := 0; ic < c.InC; ic++ {
+			xc := xd[ic*s.H*s.W : (ic+1)*s.H*s.W]
+			taps := wd[(oc*c.InC+ic)*k*k : (oc*c.InC+ic+1)*k*k]
+			for ky := 0; ky < k; ky++ {
+				oy0, oy1 := reach(ky, st, pad, s.H, os.H)
+				for kx := 0; kx < k; kx++ {
+					ox0, ox1 := reach(kx, st, pad, s.W, os.W)
+					n := ox1 - ox0
+					if n == 0 {
+						continue
+					}
+					w := taps[ky*k+kx]
+					ob := oy0*os.W + ox0
+					xb := (oy0*st-pad+ky)*s.W + ox0*st - pad + kx
+					for oy := oy0; oy < oy1; oy++ {
+						o := plane[ob : ob+n]
+						if st == 1 {
+							for i, v := range xc[xb : xb+n] {
+								o[i] += v * w
 							}
-							acc += xd[rowX+ix] * wd[rowW+kx]
+						} else {
+							xs := xc[xb : xb+(n-1)*st+1]
+							for i := range o {
+								o[i] += xs[i*st] * w
+							}
 						}
+						ob += os.W
+						xb += st * s.W
 					}
 				}
-				od[(oc*os.H+oy)*os.W+ox] = acc
 			}
 		}
 	}
 	return out, nil
+}
+
+// reach returns the outputs [lo, hi) of an n-wide input axis that tap t
+// reaches at stride st and padding pad: those whose input coordinate
+// o*st - pad + t lies in [0, n), clipped to the outN outputs.
+func reach(t, st, pad, n, outN int) (lo, hi int) {
+	if d := pad - t; d > 0 {
+		lo = (d + st - 1) / st
+	}
+	if e := n - 1 + pad - t; e >= 0 {
+		hi = e/st + 1
+	}
+	hi = min(hi, outN)
+	return min(lo, hi), hi
 }
 
 // Dense is a fully-connected layer. Input feature maps are flattened.

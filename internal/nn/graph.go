@@ -2,6 +2,9 @@ package nn
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"fpgauv/internal/tensor"
 )
@@ -201,6 +204,45 @@ func (g *Graph) ForwardAll(input *tensor.Tensor) ([]*tensor.Tensor, error) {
 		results[i] = out
 	}
 	return results, nil
+}
+
+// ForwardEach runs ForwardAll on every input, claimed from a shared
+// cursor by at most min(GOMAXPROCS, len(inputs)) goroutines, and hands
+// input i's node outputs to each(i, outs) on the goroutine that computed
+// them, dropping them when each returns — so peak memory is one image's
+// activations per goroutine. each may only write state owned by index
+// i; callers fold those per-index results in index order afterwards,
+// which makes the outcome the sequential loop's at any width. The error
+// is the lowest-index failure, as that loop would report it.
+func (g *Graph) ForwardEach(inputs []*tensor.Tensor, each func(i int, outs []*tensor.Tensor)) error {
+	errs := make([]error, len(inputs))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(inputs); i = int(next.Add(1) - 1) {
+			outs, err := g.ForwardAll(inputs[i])
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			each(i, outs)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(inputs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Validate re-checks all node shapes; useful after mutating weights in

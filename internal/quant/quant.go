@@ -154,30 +154,3 @@ func clampToInt8(v, qmax int32) int8 {
 	}
 	return int8(v)
 }
-
-// Calibrator records per-key activation ranges over a calibration set;
-// DECENT uses it to fix activation scales before deployment.
-type Calibrator struct {
-	maxAbs map[string]float32
-}
-
-// NewCalibrator returns an empty calibrator.
-func NewCalibrator() *Calibrator {
-	return &Calibrator{maxAbs: make(map[string]float32)}
-}
-
-// Observe folds a tensor's range into the entry for key.
-func (c *Calibrator) Observe(key string, t *tensor.Tensor) {
-	if m := t.MaxAbs(); m > c.maxAbs[key] {
-		c.maxAbs[key] = m
-	}
-}
-
-// Scale returns the calibrated scale for key at the given precision.
-// Keys never observed get scale 1.
-func (c *Calibrator) Scale(key string, bits int) float32 {
-	return ScaleFor(c.maxAbs[key], bits)
-}
-
-// MaxAbs returns the recorded range for key.
-func (c *Calibrator) MaxAbs(key string) float32 { return c.maxAbs[key] }

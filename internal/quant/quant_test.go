@@ -307,19 +307,14 @@ func TestAddQAndConcatQ(t *testing.T) {
 	}
 }
 
-func TestCalibrator(t *testing.T) {
-	c := NewCalibrator()
-	x, _ := tensor.FromSlice([]float32{-3, 1}, 2)
-	y, _ := tensor.FromSlice([]float32{2, -1}, 2)
-	c.Observe("n1", x)
-	c.Observe("n1", y)
-	if c.MaxAbs("n1") != 3 {
-		t.Fatalf("calibrated range = %f", c.MaxAbs("n1"))
-	}
-	if got := c.Scale("n1", 8); math.Abs(float64(got)-3.0/127) > 1e-7 {
+// TestScaleFor pins the calibration scale DECENT derives from a
+// node's max-abs: the range maps to the largest code, and a node that
+// never saw a non-zero value gets scale 1.
+func TestScaleFor(t *testing.T) {
+	if got := ScaleFor(3, 8); math.Abs(float64(got)-3.0/127) > 1e-7 {
 		t.Fatalf("scale = %g", got)
 	}
-	if c.Scale("never", 8) != 1 {
-		t.Fatal("unobserved key should default to scale 1")
+	if ScaleFor(0, 8) != 1 {
+		t.Fatal("an all-zero range should default to scale 1")
 	}
 }
