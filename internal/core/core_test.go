@@ -213,3 +213,39 @@ func TestConfigSanitize(t *testing.T) {
 		t.Fatalf("defaults: %+v", s)
 	}
 }
+
+// TestCriticalSweepReplayGolden pins a sweep through the critical region
+// to the per-point values full execution produces: MAC fault events,
+// correct predictions over the three repeats, and the worst repeat's.
+// Faulty passes replay each image's fault-free trace until its first
+// fault, and that must not move a single draw or prediction.
+func TestCriticalSweepReplayGolden(t *testing.T) {
+	c := newCampaign(t, board.SampleB, 30)
+	c.Config.VStartMV = 600
+	points, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		mv              float64
+		faults          int64
+		correct, minCor int // of 3×30 predictions; of the worst repeat's 30
+	}{
+		{600, 0, 78, 26}, {595, 0, 78, 26}, {590, 0, 78, 26}, {585, 0, 78, 26},
+		{580, 0, 78, 26}, {575, 0, 78, 26}, {570, 0, 78, 26}, {565, 73, 74, 24},
+		{560, 1257, 51, 16}, {555, 6454, 21, 3}, {550, 21933, 14, 2},
+		{545, 56949, 11, 2}, {540, 124477, 13, 4},
+	}
+	if len(points) != len(want)+1 || !points[len(want)].Crashed || points[len(want)].VCCINTmV != 535 {
+		t.Fatalf("sweep took %d points, want %d then a crash at 535 mV", len(points), len(want))
+	}
+	for i, w := range want {
+		p := points[i]
+		correct := int(math.Round(p.AccuracyPct * 90 / 100))
+		minCor := int(math.Round(p.MinAccuracyPct * 30 / 100))
+		if p.VCCINTmV != w.mv || p.MACFaults != w.faults || correct != w.correct || minCor != w.minCor {
+			t.Errorf("%.0f mV: %d faults, %d/90 correct (worst %d/30); want %.0f mV: %d, %d/90 (%d/30)",
+				p.VCCINTmV, p.MACFaults, correct, minCor, w.mv, w.faults, w.correct, w.minCor)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package dnndk
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"fpgauv/internal/board"
 	"fpgauv/internal/dpu"
@@ -13,13 +14,14 @@ import (
 
 // Runtime is the N2Cube-style host runtime: it owns the DPU cores on a
 // board, stages kernel weights in DDR, runs classification tasks, and
-// caches fault-free reference predictions (the basis of the planted-label
-// accuracy protocol).
+// caches fault-free reference runs (the basis of the planted-label
+// accuracy protocol, and what faulty passes replay).
 type Runtime struct {
 	brd *board.ZCU102
 	dp  *dpu.DPU
-	// refCache maps kernel+dataset identity to fault-free predictions.
-	refCache map[string][]int
+	// refCache maps kernel+dataset identity to the pair's reference run:
+	// each image's trace, which carries its fault-free prediction.
+	refCache map[string][]*dpu.Trace
 	loads    int
 }
 
@@ -37,7 +39,7 @@ func NewRuntimeConfig(brd *board.ZCU102, cfg dpu.Config, nCores int) (*Runtime, 
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{brd: brd, dp: dp, refCache: make(map[string][]int)}, nil
+	return &Runtime{brd: brd, dp: dp, refCache: make(map[string][]*dpu.Trace)}, nil
 }
 
 // Board returns the underlying board.
@@ -96,8 +98,15 @@ func (r *Runtime) LoadKernel(k *dpu.Kernel) (*Task, error) {
 	return &Task{rt: r, Kernel: k, ddrKey: key}, nil
 }
 
-// Unload frees the task's DDR staging area.
+// Unload frees the task's DDR staging area and drops its reference
+// runs: a reload is a new task under new keys (the crash protocol
+// reloads on every crash), so nothing would read them again.
 func (t *Task) Unload() error {
+	for key := range t.rt.refCache {
+		if strings.HasPrefix(key, t.ddrKey+"/") {
+			delete(t.rt.refCache, key)
+		}
+	}
 	return t.rt.brd.DDR().Free(t.ddrKey)
 }
 
@@ -136,7 +145,7 @@ const MicroBatch = 16
 // run on it.
 func (t *Task) InferBatch(s *dpu.Scratch, imgs []*tensor.Tensor, rngs []*rand.Rand) ([]dpu.Result, error) {
 	t.rt.brd.SetWorkload(t.Kernel.Workload)
-	return t.rt.dp.RunBatch(s, t.Kernel, imgs, rngs)
+	return t.rt.dp.RunBatch(s, t.Kernel, imgs, rngs, nil)
 }
 
 // refKey identifies a kernel+dataset pair for the reference cache. The
@@ -148,31 +157,43 @@ func (t *Task) refKey(ds *models.Dataset) string {
 }
 
 // ReferencePreds returns the kernel's fault-free predictions on the
-// dataset, computing and caching them on first use. These are the
-// predictions used to plant ground-truth labels at the Table 1 accuracy.
-// The pass runs on the batched executor, micro-batch by micro-batch.
+// dataset (computed and cached on first use; the slice is the caller's).
+// These are the predictions used to plant ground-truth labels at the
+// Table 1 accuracy.
 func (t *Task) ReferencePreds(ds *models.Dataset) ([]int, error) {
-	key := t.refKey(ds)
-	if preds, ok := t.rt.refCache[key]; ok {
-		return preds, nil
+	traces, err := t.reference(ds)
+	if err != nil {
+		return nil, err
 	}
-	preds := make([]int, ds.Len())
+	preds := make([]int, len(traces))
+	for i, tr := range traces {
+		preds[i] = tr.Pred()
+	}
+	return preds, nil
+}
+
+// reference returns the kernel's golden run on the dataset, tracing it
+// on first use on the batched executor, micro-batch by micro-batch.
+func (t *Task) reference(ds *models.Dataset) ([]*dpu.Trace, error) {
+	key := t.refKey(ds)
+	if traces, ok := t.rt.refCache[key]; ok {
+		return traces, nil
+	}
+	traces := make([]*dpu.Trace, 0, ds.Len())
 	scratch := dpu.NewScratch() // one arena for the whole reference pass
 	for lo := 0; lo < ds.Len(); lo += MicroBatch {
 		hi := lo + MicroBatch
 		if hi > ds.Len() {
 			hi = ds.Len()
 		}
-		results, err := t.rt.dp.RunBatchClean(scratch, t.Kernel, ds.Inputs[lo:hi])
+		batch, err := t.rt.dp.TraceBatch(scratch, t.Kernel, ds.Inputs[lo:hi])
 		if err != nil {
 			return nil, fmt.Errorf("dnndk: reference inference: %w", err)
 		}
-		for i := range results {
-			preds[lo+i] = results[i].Pred
-		}
+		traces = append(traces, batch...)
 	}
-	t.rt.refCache[key] = preds
-	return preds, nil
+	t.rt.refCache[key] = traces
+	return traces, nil
 }
 
 // PlantLabels plants the dataset's ground-truth labels so the fault-free
@@ -217,7 +238,9 @@ func (t *Task) Classify(ds *models.Dataset, rng *rand.Rand) (*ClassifyResult, er
 // The faulty-region pass runs on the batched executor: the evaluation set
 // is one big batch sliced into micro-batches, per-image MAC fault streams
 // derived from rng (one Int63 draw per image, so a pinned rng still pins
-// the whole pass), and BRAM faults persistent per micro-batch.
+// the whole pass), and BRAM faults persistent per micro-batch. Each image
+// replays its reference trace until its first sampled MAC fault (see
+// dpu.RunBatch).
 func (t *Task) ClassifyWith(s *dpu.Scratch, ds *models.Dataset, rng *rand.Rand) (*ClassifyResult, error) {
 	if err := t.rt.brd.CheckAlive(); err != nil {
 		return nil, err
@@ -234,8 +257,12 @@ func (t *Task) ClassifyWith(s *dpu.Scratch, ds *models.Dataset, rng *rand.Rand) 
 		if err != nil {
 			return nil, err
 		}
-		out.Preds = append([]int(nil), preds...)
+		out.Preds = preds
 	} else {
+		traces, err := t.reference(ds)
+		if err != nil {
+			return nil, err
+		}
 		if s == nil {
 			s = dpu.NewScratch()
 		}
@@ -250,7 +277,7 @@ func (t *Task) ClassifyWith(s *dpu.Scratch, ds *models.Dataset, rng *rand.Rand) 
 			if hi > n {
 				hi = n
 			}
-			results, err := t.InferBatch(s, ds.Inputs[lo:hi], rngs[lo:hi])
+			results, err := t.rt.dp.RunBatch(s, t.Kernel, ds.Inputs[lo:hi], rngs[lo:hi], traces[lo:hi])
 			if err != nil {
 				return nil, err
 			}

@@ -47,12 +47,16 @@ type batchArena struct {
 	err   error
 }
 
-// batchLane holds a running lane's stacked frame/accumulator buffers
-// and its batched-input gather table.
+// batchLane holds a running lane's stacked frame/accumulator buffers,
+// its batched-input gather table, per image the trace it still replays
+// (nil once off it, and in a pass without traces) and the copy of a
+// traced block an image's first fault corrupts.
 type batchLane struct {
-	col []int8
-	acc []int32
-	xs  []*quant.QTensor
+	col    []int8
+	acc    []int32
+	xs     []*quant.QTensor
+	golden []*Trace
+	spill  []int32
 }
 
 // byteRestore records one corrupted weight byte by its prior value: a
@@ -138,10 +142,16 @@ func (s *Scratch) BatchRNGs(n int) []*rand.Rand {
 // safe because the flips are applied before the lanes start and the
 // weights are immutable while they run.
 //
+// traces, when non-nil, are the images' golden runs (TraceBatch): image
+// i replays traces[i] until its first sampled MAC fault, bit-exact with
+// running it in full because the fault draws read only the rng and the
+// layer shapes. A pass that samples BRAM flips runs every image in full —
+// its weights are not the ones the traces were recorded with.
+//
 // The returned Results (and their Probs tensors) are staged in the
 // Scratch and only valid until the next run on it. A nil Scratch
 // allocates a transient arena and returns detached results.
-func (d *DPU) RunBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand) ([]Result, error) {
+func (d *DPU) RunBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, traces []*Trace) ([]Result, error) {
 	if err := d.brd.CheckAlive(); err != nil {
 		return nil, err
 	}
@@ -154,7 +164,7 @@ func (d *DPU) RunBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	}
 	pBRAM := fab.BRAMBitFaultProb(cond)
 	start := time.Now()
-	res, err := d.runBatch(s, k, imgs, rngs, pMAC, pBRAM)
+	res, err := d.runBatch(s, k, imgs, rngs, traces, pMAC, pBRAM)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +187,7 @@ func (d *DPU) RunWith(s *Scratch, k *Kernel, img *tensor.Tensor, rng *rand.Rand)
 		s = NewScratch()
 	}
 	s.oneImg[0], s.oneRng[0] = img, rng
-	res, err := d.RunBatch(s, k, s.oneImg[:], s.oneRng[:])
+	res, err := d.RunBatch(s, k, s.oneImg[:], s.oneRng[:], nil)
 	s.oneImg[0], s.oneRng[0] = nil, nil
 	if err != nil {
 		return nil, err
@@ -185,22 +195,32 @@ func (d *DPU) RunWith(s *Scratch, k *Kernel, img *tensor.Tensor, rng *rand.Rand)
 	return &res[0], nil
 }
 
-// RunBatchClean executes a micro-batch with fault injection disabled and
-// without consulting the board's electrical state — the fault-free
-// reference path used to plant ground-truth labels.
-func (d *DPU) RunBatchClean(s *Scratch, k *Kernel, imgs []*tensor.Tensor) ([]Result, error) {
-	return d.runBatch(s, k, imgs, nil, 0, 0)
+// TraceBatch executes a micro-batch with fault injection disabled and
+// without consulting the board's electrical state, and records each
+// image's golden run: the fault-free reference pass that plants
+// ground-truth labels and that faulty passes replay (RunBatch).
+func (d *DPU) TraceBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor) ([]*Trace, error) {
+	traces := make([]*Trace, len(imgs))
+	if _, err := d.runBatch(s, k, imgs, nil, traces, 0, 0); err != nil {
+		return nil, err
+	}
+	return traces, nil
 }
 
 // runBatch is the execution core. rngs may be nil only when both fault
-// probabilities are zero.
-func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, pMAC, pBRAM float64) ([]Result, error) {
+// probabilities are zero. With traces, image i replays traces[i], or
+// runs in full where that is nil — and a pass without rngs then records
+// its golden run there.
+func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, traces []*Trace, pMAC, pBRAM float64) ([]Result, error) {
 	n := len(imgs)
 	if n == 0 {
 		return nil, nil
 	}
 	if rngs != nil && len(rngs) < n {
 		return nil, fmt.Errorf("dpu: %d fault streams for %d images", len(rngs), n)
+	}
+	if traces != nil && len(traces) < n {
+		return nil, fmt.Errorf("dpu: %d traces for %d images", len(traces), n)
 	}
 	if (pMAC > 0 || pBRAM > 0) && rngs == nil {
 		return nil, fmt.Errorf("dpu: fault injection requires per-image fault streams")
@@ -220,6 +240,7 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	var batchECC ecc.Counts
 	if pBRAM > 0 {
 		batchFlips, batchECC = d.flipBatchWeights(ba, k, pBRAM, rngs[0])
+		traces = nil
 	}
 
 	// One level of parallelism per pass. The lanes go to the tile pool's
@@ -234,11 +255,11 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	// every split. A single lane runs inline.
 	fan := lanes < w
 	if lanes == 1 {
-		d.runBatchLane(ba, k, imgs, rngs, 0, n, pMAC, fan)
+		d.runBatchLane(ba, k, imgs, rngs, traces, 0, n, pMAC, fan)
 	} else {
 		lj := laneJobs.Get().(*laneJob)
 		lj.d, lj.ba, lj.k = d, ba, k
-		lj.imgs, lj.rngs = imgs, rngs
+		lj.imgs, lj.rngs, lj.traces = imgs, rngs, traces
 		lj.pMAC, lj.fan, lj.per = pMAC, fan, per
 		quant.RunTiles(lanes, lj)
 	}
@@ -293,14 +314,15 @@ func laneSplit(n, w int) (per, lanes int) {
 // shared weight tensors are immutable while the lanes run.
 type laneJob struct {
 	quant.TileJob
-	d    *DPU
-	ba   *batchArena
-	k    *Kernel
-	imgs []*tensor.Tensor
-	rngs []*rand.Rand
-	pMAC float64
-	fan  bool
-	per  int
+	d      *DPU
+	ba     *batchArena
+	k      *Kernel
+	imgs   []*tensor.Tensor
+	rngs   []*rand.Rand
+	traces []*Trace
+	pMAC   float64
+	fan    bool
+	per    int
 }
 
 var laneJobs = sync.Pool{New: func() any { return new(laneJob) }}
@@ -308,22 +330,24 @@ var laneJobs = sync.Pool{New: func() any { return new(laneJob) }}
 func (lj *laneJob) Job() *quant.TileJob { return &lj.TileJob }
 
 func (lj *laneJob) Recycle() {
-	lj.d, lj.ba, lj.k, lj.imgs, lj.rngs = nil, nil, nil, nil, nil
+	lj.d, lj.ba, lj.k, lj.imgs, lj.rngs, lj.traces = nil, nil, nil, nil, nil, nil
 	laneJobs.Put(lj)
 }
 
 func (lj *laneJob) Tile(c int) {
 	lo := c * lj.per
 	hi := min(lo+lj.per, len(lj.imgs))
-	lj.d.runBatchLane(lj.ba, lj.k, lj.imgs, lj.rngs, lo, hi, lj.pMAC, lj.fan)
+	lj.d.runBatchLane(lj.ba, lj.k, lj.imgs, lj.rngs, lj.traces, lo, hi, lj.pMAC, lj.fan)
 }
 
 // runBatchLane advances images [lo, hi) through the graph in layer
 // lockstep: conv/FC nodes run as one stacked GEMM over the lane's
 // sub-batch, every other node runs per image through the shared host-op
-// executor; fan lets those GEMMs use the tile pool. Errors are recorded
-// on the arena (first one wins).
-func (d *DPU) runBatchLane(ba *batchArena, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, lo, hi int, pMAC float64, fan bool) {
+// executor; fan lets those GEMMs use the tile pool. An image replaying
+// its trace skips all of that — its activations are the trace's — until
+// a weight layer samples its first MAC fault. Errors are recorded on the
+// arena (first one wins).
+func (d *DPU) runBatchLane(ba *batchArena, k *Kernel, imgs []*tensor.Tensor, rngs []*rand.Rand, traces []*Trace, lo, hi int, pMAC float64, fan bool) {
 	fail := func(err error) {
 		ba.mu.Lock()
 		if ba.err == nil {
@@ -333,11 +357,19 @@ func (d *DPU) runBatchLane(ba *batchArena, k *Kernel, imgs []*tensor.Tensor, rng
 	}
 	ln := ba.takeLane()
 	defer ba.releaseLane(ln)
+	ln.golden = ln.golden[:0]
 	for i := lo; i < hi; i++ {
 		sc := ba.imgs[i]
 		sc.bind(k)
 		ba.res[i] = Result{}
-		if err := quant.QuantizeWithScaleInto(&sc.inQ, imgs[i], k.InScale, k.Bits); err != nil {
+		var tr *Trace
+		if traces != nil {
+			tr = traces[i]
+		}
+		ln.golden = append(ln.golden, tr)
+		if tr != nil {
+			sc.in = tr.act(nn.InputID)
+		} else if err := quant.QuantizeWithScaleInto(&sc.inQ, imgs[i], k.InScale, k.Bits); err != nil {
 			fail(fmt.Errorf("dpu: input quantization: %w", err))
 			return
 		}
@@ -347,13 +379,15 @@ func (d *DPU) runBatchLane(ba *batchArena, k *Kernel, imgs []*tensor.Tensor, rng
 		kn := &k.Nodes[idx]
 		switch n.Op.(type) {
 		case *nn.Conv2D, *nn.Dense:
-			if err := d.runBatchWeightLayer(ba, ln, idx, n, kn, k, rngs, lo, hi, pMAC, fan); err != nil {
+			if err := d.runBatchWeightLayer(ba, ln, idx, n, kn, k, rngs, traces, lo, pMAC, fan); err != nil {
 				fail(err)
 				return
 			}
 		default:
 			for i := lo; i < hi; i++ {
-				if err := d.runHostNode(ba.imgs[i], idx, n, kn, k); err != nil {
+				if tr := ln.golden[i-lo]; tr != nil {
+					ba.imgs[i].refs[idx] = tr.act(nn.NodeID(idx))
+				} else if err := d.runHostNode(ba.imgs[i], idx, n, kn, k); err != nil {
 					fail(err)
 					return
 				}
@@ -361,9 +395,20 @@ func (d *DPU) runBatchLane(ba *batchArena, k *Kernel, imgs []*tensor.Tensor, rng
 		}
 	}
 	for i := lo; i < hi; i++ {
-		if err := finishRun(ba.imgs[i], k, &ba.res[i]); err != nil {
+		sc := ba.imgs[i]
+		if tr := ln.golden[i-lo]; tr != nil {
+			// Never alias the trace: the caller may write its Result.
+			probs := floatStage(&sc.probs, len(tr.probs))
+			copy(probs.Data(), tr.probs)
+			ba.res[i].Probs, ba.res[i].Pred = probs, tr.pred
+			continue
+		}
+		if err := finishRun(sc, k, &ba.res[i]); err != nil {
 			fail(err)
 			return
+		}
+		if rngs == nil && traces != nil {
+			traces[i] = record(sc, &ba.res[i])
 		}
 	}
 }
@@ -376,54 +421,83 @@ func (d *DPU) runBatchLane(ba *batchArena, k *Kernel, imgs []*tensor.Tensor, rng
 // shared by every backend, and each image's accumulator block has the
 // naive kernels' layout whatever the batch size, so the oracle and
 // engine paths — and the batch of one and of N — cannot drift apart.
-func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.Node, kn *KernelNode, k *Kernel, rngs []*rand.Rand, lo, hi int, pMAC float64, fan bool) error {
-	nb := hi - lo
-	if cap(ln.xs) < nb {
-		ln.xs = make([]*quant.QTensor, nb)
-	}
-	xs := ln.xs[:nb]
-	for b := 0; b < nb; b++ {
-		x, err := ba.imgs[lo+b].fetch(n.Inputs[0])
-		if err != nil {
-			return err
+//
+// Only the images off their trace join the GEMM (a tracing pass stages
+// their blocks for the trace). One still on it draws its fault count
+// from the traced block: none keeps it on the trace, and its first fault
+// corrupts a copy of that block — the draws and the block the GEMM would
+// have produced.
+func (d *DPU) runBatchWeightLayer(ba *batchArena, ln *batchLane, idx int, n nn.Node, kn *KernelNode, k *Kernel, rngs []*rand.Rand, traces []*Trace, lo int, pMAC float64, fan bool) error {
+	xs := ln.xs[:0]
+	for b, tr := range ln.golden {
+		if tr == nil {
+			x, err := ba.imgs[lo+b].fetch(n.Inputs[0])
+			if err != nil {
+				return err
+			}
+			xs = append(xs, x)
 		}
-		xs[b] = x
 	}
+	ln.xs = xs
 
-	be := d.backendFor()
 	var blockLen, nd int
 	var dims [3]int
-	switch op := n.Op.(type) {
-	case *nn.Conv2D:
-		sh, err := be.ConvBatch(kn, xs, op.Stride, op.Pad, &ln.col, &ln.acc, fan)
-		if err != nil {
-			return fmt.Errorf("dpu: node %q: %w", n.Label, err)
+	if len(xs) > 0 {
+		be := d.backendFor()
+		switch op := n.Op.(type) {
+		case *nn.Conv2D:
+			sh, err := be.ConvBatch(kn, xs, op.Stride, op.Pad, &ln.col, &ln.acc, fan)
+			if err != nil {
+				return fmt.Errorf("dpu: node %q: %w", n.Label, err)
+			}
+			blockLen = sh.AccLen()
+			dims = [3]int{sh.OutC, sh.OutH, sh.OutW}
+			nd = 3
+		case *nn.Dense:
+			width, err := be.DenseBatch(kn, xs, &ln.acc, fan)
+			if err != nil {
+				return fmt.Errorf("dpu: node %q: %w", n.Label, err)
+			}
+			blockLen = width
+			dims[0] = width
+			nd = 1
 		}
-		blockLen = sh.AccLen()
-		dims = [3]int{sh.OutC, sh.OutH, sh.OutW}
-		nd = 3
-	case *nn.Dense:
-		width, err := be.DenseBatch(kn, xs, &ln.acc, fan)
-		if err != nil {
-			return fmt.Errorf("dpu: node %q: %w", n.Label, err)
-		}
-		blockLen = width
-		dims[0] = width
-		nd = 1
 	}
 
-	for b := 0; b < nb; b++ {
+	relu := ba.imgs[lo].fuseReLU[idx] >= 0
+	j := 0
+	for b, tr := range ln.golden {
 		i := lo + b
 		sc := ba.imgs[i]
-		block := ln.acc[b*blockLen : (b+1)*blockLen]
 		var rng *rand.Rand
 		if rngs != nil {
 			rng = rngs[i]
 		}
-		ba.res[i].MACFaults += injectMACFaults(block, kn.MACs, pMAC, rng)
+		var block []int32
+		shape := dims[:nd]
+		if tr == nil {
+			block = ln.acc[j*blockLen : (j+1)*blockLen]
+			j++
+			if rng == nil && traces != nil {
+				sc.accs[idx] = append(sc.accs[idx][:0], block...)
+			}
+		} else {
+			block, shape = tr.accs[idx], tr.views[idx+1].Dims
+		}
+		faults := sampleMACFaults(rng, kn.MACs, pMAC, len(block))
+		if tr != nil {
+			if faults == 0 {
+				sc.refs[idx] = tr.act(nn.NodeID(idx))
+				continue
+			}
+			ln.spill = append(ln.spill[:0], block...)
+			block = ln.spill
+			ln.golden[b] = nil
+		}
+		applyMACFaults(block, faults, rng)
+		ba.res[i].MACFaults += faults
 		out := sc.act(idx)
-		relu := sc.fuseReLU[idx] >= 0
-		if err := quant.RequantizeInto(out, block, kn.AccScale, kn.OutScale, k.Bits, relu, dims[:nd]...); err != nil {
+		if err := quant.RequantizeInto(out, block, kn.AccScale, kn.OutScale, k.Bits, relu, shape...); err != nil {
 			return err
 		}
 		sc.refs[idx] = out

@@ -30,7 +30,7 @@ func TestRunBatchMatchesSingleImageGrid(t *testing.T) {
 		in := makeBatch(inputs, batch)
 		for seed := int64(1); seed <= 4; seed++ {
 			rngs := seededRNGs(seed*100, batch)
-			got, err := d.runBatch(nil, k, in, rngs, pMAC, 0)
+			got, err := d.runBatch(nil, k, in, rngs, nil, pMAC, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,22 +57,22 @@ func TestRunBatchMatchesSingleImageGrid(t *testing.T) {
 	}
 }
 
-// TestRunBatchCleanMatchesRunClean checks the fault-free path's batch of
-// N against per-image batches of one.
-func TestRunBatchCleanMatchesRunClean(t *testing.T) {
+// TestTraceBatchMatchesBatchOfOne checks the tracing pass's batch of N
+// against per-image untraced batches of one.
+func TestTraceBatchMatchesBatchOfOne(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
 	for _, batch := range []int{1, 3, 6} {
 		in := makeBatch(inputs, batch)
-		got, err := d.RunBatchClean(nil, k, in)
+		got, err := d.TraceBatch(nil, k, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, img := range in {
 			want := cleanOne(t, d, nil, k, img)
-			if got[i].Pred != want.Pred {
-				t.Fatalf("batch=%d image %d: pred %d != %d", batch, i, got[i].Pred, want.Pred)
+			if got[i].Pred() != want.Pred {
+				t.Fatalf("batch=%d image %d: pred %d != %d", batch, i, got[i].Pred(), want.Pred)
 			}
-			wp, gp := want.Probs.Data(), got[i].Probs.Data()
+			wp, gp := want.Probs.Data(), got[i].probs
 			for j := range wp {
 				if wp[j] != gp[j] {
 					t.Fatalf("batch=%d image %d: probs[%d] %v != %v", batch, i, j, gp[j], wp[j])
@@ -90,14 +90,14 @@ func TestRunBatchMatchesReferenceKernels(t *testing.T) {
 	const pMAC = 2e-4
 	in := makeBatch(inputs, 5)
 	rngs := seededRNGs(31, len(in))
-	got, err := d.runBatch(nil, k, in, rngs, pMAC, 0)
+	got, err := d.runBatch(nil, k, in, rngs, nil, pMAC, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.SetReferenceKernels(true)
 	defer d.SetReferenceKernels(false)
 	rngs = seededRNGs(31, len(in))
-	ref, err := d.runBatch(nil, k, in, rngs, pMAC, 0)
+	ref, err := d.runBatch(nil, k, in, rngs, nil, pMAC, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRunBatchPersistentBRAMFaults(t *testing.T) {
 	var sawFlips bool
 	for seed := int64(1); seed <= 10; seed++ {
 		rngs := seededRNGs(seed, batch)
-		res, err := d.runBatch(nil, k, in, rngs, 0, 1e-4)
+		res, err := d.runBatch(nil, k, in, rngs, nil, 0, 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestRunBatchArenaReuseDeterministic(t *testing.T) {
 		for _, batch := range []int{3, 1, 6} {
 			in := makeBatch(inputs, batch)
 			rngs := seededRNGs(int64(round+1), batch)
-			got, err := d.runBatch(s, k, in, rngs, 1e-4, 0)
+			got, err := d.runBatch(s, k, in, rngs, nil, 1e-4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestRunBatchArenaReuseDeterministic(t *testing.T) {
 				preds[i] = got[i].Pred
 			}
 			rngs = seededRNGs(int64(round+1), batch)
-			want, err := d.runBatch(nil, k, in, rngs, 1e-4, 0)
+			want, err := d.runBatch(nil, k, in, rngs, nil, 1e-4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,13 +214,16 @@ func TestRunBatchArenaReuseDeterministic(t *testing.T) {
 // TestRunBatchValidation pins the batched entry points' error contract.
 func TestRunBatchValidation(t *testing.T) {
 	d, k, inputs := buildConvNetKernel(t)
-	if res, err := d.RunBatchClean(nil, k, nil); err != nil || res != nil {
-		t.Fatalf("empty batch: res=%v err=%v, want nil/nil", res, err)
+	if res, err := d.TraceBatch(nil, k, nil); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: res=%v err=%v, want none", res, err)
 	}
-	if _, err := d.runBatch(nil, k, makeBatch(inputs, 3), seededRNGs(1, 2), 1e-4, 0); err == nil {
+	if _, err := d.runBatch(nil, k, makeBatch(inputs, 3), seededRNGs(1, 3), make([]*Trace, 2), 1e-4, 0); err == nil {
+		t.Fatal("short trace slice accepted")
+	}
+	if _, err := d.runBatch(nil, k, makeBatch(inputs, 3), seededRNGs(1, 2), nil, 1e-4, 0); err == nil {
 		t.Fatal("short rng slice accepted")
 	}
-	if _, err := d.runBatch(nil, k, makeBatch(inputs, 2), nil, 1e-4, 0); err == nil {
+	if _, err := d.runBatch(nil, k, makeBatch(inputs, 2), nil, nil, 1e-4, 0); err == nil {
 		t.Fatal("fault injection without streams accepted")
 	}
 }
@@ -243,7 +246,7 @@ func TestRunBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int, seed int64) []snap {
 		quant.SetWorkers(workers)
 		rngs := seededRNGs(seed, len(in))
-		res, err := d.runBatch(nil, k, in, rngs, 2e-4, 1e-4)
+		res, err := d.runBatch(nil, k, in, rngs, nil, 2e-4, 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -261,16 +261,23 @@ const faultTileSpan = 4
 // matches observed undervolting fault severity distributions.
 const faultBitRange = 20
 
-// injectMACFaults corrupts sampled accumulator tiles with single-bit
-// flips, modeling timing faults in the DSP datapath. The number of events
-// is Binomial(MACs, p); each event flips one bit per accumulator of a
-// small output tile, producing the realistic spread
-// from negligible to catastrophic logit perturbations.
-func injectMACFaults(acc []int32, macs int64, p float64, rng *rand.Rand) int64 {
-	if p <= 0 || len(acc) == 0 {
+// sampleMACFaults and applyMACFaults corrupt sampled accumulator tiles
+// with single-bit flips, modeling timing faults in the DSP datapath. The
+// number of events is Binomial(MACs, p); each event flips one bit per
+// accumulator of a small output tile, producing the realistic spread from
+// negligible to catastrophic logit perturbations. Both read only the rng
+// and the block's shape — never an accumulator value — which is what
+// lets a faulty pass replay the golden run up to its first fault
+// (batch.go).
+func sampleMACFaults(rng *rand.Rand, macs int64, p float64, n int) int64 {
+	if p <= 0 || n == 0 {
 		return 0
 	}
-	k := fabric.SampleFaults(rng, macs, p)
+	return fabric.SampleFaults(rng, macs, p)
+}
+
+// applyMACFaults draws the k events' tile positions and bits.
+func applyMACFaults(acc []int32, k int64, rng *rand.Rand) {
 	for i := int64(0); i < k; i++ {
 		start := rng.Intn(len(acc))
 		for j := 0; j < faultTileSpan && start+j < len(acc); j++ {
@@ -278,7 +285,6 @@ func injectMACFaults(acc []int32, macs int64, p float64, rng *rand.Rand) int64 {
 			acc[start+j] ^= 1 << bit
 		}
 	}
-	return k
 }
 
 // sigmoidQInto computes sigmoid through the host float path (the DPU

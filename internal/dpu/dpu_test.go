@@ -74,7 +74,8 @@ func TestNewValidatesCapacity(t *testing.T) {
 func TestInjectMACFaultsStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	acc := make([]int32, 1000)
-	n := injectMACFaults(acc, 1_000_000, 1e-4, rng)
+	n := sampleMACFaults(rng, 1_000_000, 1e-4, len(acc))
+	applyMACFaults(acc, n, rng)
 	if n < 50 || n > 200 {
 		t.Fatalf("expected ≈100 faults, got %d", n)
 	}
@@ -87,7 +88,7 @@ func TestInjectMACFaultsStatistics(t *testing.T) {
 	if changed == 0 {
 		t.Fatal("faults must corrupt accumulators")
 	}
-	if injectMACFaults(acc, 1000, 0, rng) != 0 {
+	if sampleMACFaults(rng, 1000, 0, len(acc)) != 0 {
 		t.Fatal("p=0 must inject nothing")
 	}
 }

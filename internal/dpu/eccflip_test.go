@@ -74,7 +74,7 @@ func TestECCCountsDeterministic(t *testing.T) {
 	in := makeBatch(inputs, 5)
 	batch := func(seed int64) ([]Result, []float32) {
 		rngs := seededRNGs(seed, len(in))
-		res, err := d.runBatch(nil, k, in, rngs, 0, pBRAM)
+		res, err := d.runBatch(nil, k, in, rngs, nil, 0, pBRAM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestECCBatchRestoresWeights(t *testing.T) {
 	in := makeBatch(inputs, 6)
 	for seed := int64(1); seed <= 20; seed++ {
 		rngs := seededRNGs(seed*311, len(in))
-		if _, err := d.runBatch(nil, k, in, rngs, 0, 5e-3); err != nil {
+		if _, err := d.runBatch(nil, k, in, rngs, nil, 0, 5e-3); err != nil {
 			t.Fatal(err)
 		}
 		checkWeightSnapshot(t, k, snap, "after protected batch")
@@ -234,7 +234,7 @@ func TestRestoreCoversEveryPass(t *testing.T) {
 			for _, n := range []int{1, 5} {
 				in := makeBatch(inputs, n)
 				for seed := int64(1); seed <= 10; seed++ {
-					if _, err := d.runBatch(s, k, in, seededRNGs(seed*311, n), 2e-4, pBRAM); err != nil {
+					if _, err := d.runBatch(s, k, in, seededRNGs(seed*311, n), nil, 2e-4, pBRAM); err != nil {
 						t.Fatal(err)
 					}
 					checkWeightSnapshot(t, k, snap, "after a pass")
@@ -243,7 +243,7 @@ func TestRestoreCoversEveryPass(t *testing.T) {
 				// applied (alone it gets as far as fc1's input check).
 				bad := append([]*tensor.Tensor(nil), in...)
 				bad[n-1] = tensor.New(3, 8, 8)
-				if _, err := d.runBatch(s, k, bad, seededRNGs(7, n), 2e-4, pBRAM); err == nil {
+				if _, err := d.runBatch(s, k, bad, seededRNGs(7, n), nil, 2e-4, pBRAM); err == nil {
 					t.Fatal("mis-shaped image accepted")
 				}
 				checkWeightSnapshot(t, k, snap, "after a failed pass")

@@ -167,7 +167,7 @@ func TestExecutorRefusesWhenHung(t *testing.T) {
 		t.Fatalf("expected ErrHung, got %v", err)
 	}
 	// The clean pass is the host-side reference path and stays usable.
-	if _, err := d.RunBatchClean(nil, k, []*tensor.Tensor{input}); err != nil {
-		t.Fatalf("RunBatchClean should not depend on board state: %v", err)
+	if _, err := d.TraceBatch(nil, k, []*tensor.Tensor{input}); err != nil {
+		t.Fatalf("TraceBatch should not depend on board state: %v", err)
 	}
 }

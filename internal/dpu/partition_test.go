@@ -44,7 +44,7 @@ func TestRunBatchPartitionIndependent(t *testing.T) {
 					for i, r := range rngs {
 						r.Seed(int64(n)*1000 + int64(i)*7919)
 					}
-					res, err := d.runBatch(s, k, in, rngs, pMAC, pBRAM)
+					res, err := d.runBatch(s, k, in, rngs, nil, pMAC, pBRAM)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,7 +117,7 @@ func TestLanesCoverPoolMeansNoNestedOffers(t *testing.T) {
 	s := NewScratch()
 	jobs := func(n int) int64 {
 		before := quant.PoolStats().Jobs
-		if _, err := d.RunBatchClean(s, k, makeBatch(inputs, n)); err != nil {
+		if _, err := d.runBatch(s, k, makeBatch(inputs, n), nil, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		return quant.PoolStats().Jobs - before

@@ -31,8 +31,10 @@ type Scratch struct {
 	nodes []nn.Node
 
 	inQ  quant.QTensor    // quantized input staging
+	in   *quant.QTensor   // the run's input: &inQ, or a replayed trace's codes
 	acts []quant.QTensor  // per-node activation ring (backing storage)
 	refs []*quant.QTensor // per-run activation table (reset every run)
+	accs [][]int32        // per-node conv/FC accumulators a tracing pass stages
 
 	probs  *tensor.Tensor // host-side float staging (softmax output)
 	logits *tensor.Tensor // host-side float staging (softmax input)
@@ -69,11 +71,13 @@ func (s *Scratch) bind(k *Kernel) {
 		n := len(s.nodes)
 		s.acts = make([]quant.QTensor, n)
 		s.refs = make([]*quant.QTensor, n)
+		s.accs = make([][]int32, n)
 		s.fuseReLU = fuseTable(k)
 	}
 	for i := range s.refs {
 		s.refs[i] = nil
 	}
+	s.in = &s.inQ
 	s.final = nil
 }
 
@@ -83,13 +87,17 @@ func (s *Scratch) act(i int) *quant.QTensor { return &s.acts[i] }
 // fetch resolves a node input: the quantized input image for InputID,
 // otherwise the producing node's staged activation.
 func (s *Scratch) fetch(id nn.NodeID) (*quant.QTensor, error) {
-	if id == nn.InputID {
-		return &s.inQ, nil
+	var x *quant.QTensor
+	switch {
+	case id == nn.InputID:
+		x = s.in
+	case int(id) < len(s.refs):
+		x = s.refs[id]
 	}
-	if int(id) >= len(s.refs) || s.refs[id] == nil {
+	if x == nil {
 		return nil, fmt.Errorf("dpu: missing activation for node %d", id)
 	}
-	return s.refs[id], nil
+	return x, nil
 }
 
 // floatStage returns a reusable float tensor of size n (dims [n]).

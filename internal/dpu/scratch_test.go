@@ -34,17 +34,50 @@ func buildConvNetKernel(t *testing.T) (*DPU, *Kernel, []*tensor.Tensor) {
 		inputs[i] = tensor.New(3, 12, 12)
 		inputs[i].FillRandn(rand.New(rand.NewSource(int64(100+i))), 1)
 	}
+	d, k := compileTestKernel(t, "convnet", g, inputs[0])
+	return d, k, inputs
+}
 
-	outs, err := g.ForwardAll(inputs[0])
+// buildResidualKernel is buildConvNetKernel's shape with a skip
+// connection: conv1→ReLU feeds both conv2 and the Add after it, so a
+// replaying image that leaves its trace at conv2 reads conv1's traced
+// activation.
+func buildResidualKernel(t *testing.T) (*DPU, *Kernel, []*tensor.Tensor) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(89))
+	g := nn.NewGraph(nn.Shape{C: 3, H: 12, W: 12})
+	g.Add("conv1", nn.NewConv2D(rng, 3, 4, 3, 1, 1))
+	relu1 := g.Add("relu1", nn.ReLU{})
+	conv2 := g.Add("conv2", nn.NewConv2D(rng, 4, 4, 3, 1, 1))
+	g.Add("add", nn.Add{}, relu1, conv2)
+	g.Add("pool", &nn.Pool2D{Kind: nn.MaxPool, Kernel: 2, Stride: 2})
+	g.Add("flatten", nn.Flatten{})
+	g.Add("fc", nn.NewDense(rng, 4*6*6, 5))
+	g.Add("softmax", nn.Softmax{})
+	inputs := make([]*tensor.Tensor, 3)
+	for i := range inputs {
+		inputs[i] = tensor.New(3, 12, 12)
+		inputs[i].FillRandn(rand.New(rand.NewSource(int64(200+i))), 1)
+	}
+	d, k := compileTestKernel(t, "residual", g, inputs[0])
+	return d, k, inputs
+}
+
+// compileTestKernel quantizes g by hand, calibrated on one float pass over
+// calib, onto a fresh single-core DPU: pooling, ReLU and flatten keep
+// their input's scale, every other node takes its own.
+func compileTestKernel(t *testing.T, name string, g *nn.Graph, calib *tensor.Tensor) (*DPU, *Kernel) {
+	t.Helper()
+	outs, err := g.ForwardAll(calib)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := &Kernel{
-		Name:        "convnet",
+		Name:        name,
 		Graph:       g,
 		Bits:        8,
-		Classes:     5,
-		InScale:     quant.ScaleFor(inputs[0].MaxAbs(), 8),
+		Classes:     g.OutputShape().C,
+		InScale:     quant.ScaleFor(calib.MaxAbs(), 8),
 		Nodes:       make([]KernelNode, len(g.Nodes())),
 		ComputeFrac: 0.58,
 		VulnScale:   1,
@@ -64,30 +97,25 @@ func buildConvNetKernel(t *testing.T) (*DPU, *Kernel, []*tensor.Tensor) {
 		if outScale <= 0 {
 			outScale = 1
 		}
+		kn.OutScale = outScale
+		var w *tensor.Tensor
+		var bias []float32
 		switch op := n.Op.(type) {
 		case *nn.Conv2D:
-			wq, err := quant.Quantize(op.Weights, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kn.WQ = wq
-			kn.AccScale = inScaleOf(n) * wq.Scale
-			kn.BiasQ = quant.QuantizeBias(op.Bias, kn.AccScale)
-			kn.OutScale = outScale
+			w, bias = op.Weights, op.Bias
 		case *nn.Dense:
-			wq, err := quant.Quantize(op.Weights, 8)
+			w, bias = op.Weights, op.Bias
+		case *nn.Pool2D, nn.ReLU, nn.Flatten:
+			kn.OutScale = inScaleOf(n)
+		}
+		if w != nil {
+			wq, err := quant.Quantize(w, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
 			kn.WQ = wq
 			kn.AccScale = inScaleOf(n) * wq.Scale
-			kn.BiasQ = quant.QuantizeBias(op.Bias, kn.AccScale)
-			kn.OutScale = outScale
-		default:
-			kn.OutScale = inScaleOf(n)
-			if _, ok := n.Op.(nn.Softmax); ok {
-				kn.OutScale = outScale
-			}
+			kn.BiasQ = quant.QuantizeBias(bias, kn.AccScale)
 		}
 		actScale[i] = kn.OutScale
 	}
@@ -103,7 +131,7 @@ func buildConvNetKernel(t *testing.T) (*DPU, *Kernel, []*tensor.Tensor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, k, inputs
+	return d, k
 }
 
 // snapshotResult copies the arena-staged parts of a Result so it can be
@@ -121,7 +149,7 @@ func snapshotResult(r *Result) *Result {
 // through a fresh arena, its fault stream seeded with seed.
 func runOne(t *testing.T, d *DPU, k *Kernel, img *tensor.Tensor, seed int64, pMAC, pBRAM float64) *Result {
 	t.Helper()
-	res, err := d.runBatch(nil, k, []*tensor.Tensor{img}, []*rand.Rand{rand.New(rand.NewSource(seed))}, pMAC, pBRAM)
+	res, err := d.runBatch(nil, k, []*tensor.Tensor{img}, []*rand.Rand{rand.New(rand.NewSource(seed))}, nil, pMAC, pBRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +160,7 @@ func runOne(t *testing.T, d *DPU, k *Kernel, img *tensor.Tensor, seed int64, pMA
 // (nil: a fresh arena and a detached result).
 func cleanOne(t *testing.T, d *DPU, s *Scratch, k *Kernel, img *tensor.Tensor) *Result {
 	t.Helper()
-	res, err := d.RunBatchClean(s, k, []*tensor.Tensor{img})
+	res, err := d.runBatch(s, k, []*tensor.Tensor{img}, nil, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

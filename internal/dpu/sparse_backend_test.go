@@ -76,7 +76,7 @@ func TestRunBatchSparseDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int, seed int64) []snap {
 		quant.SetWorkers(workers)
 		rngs := seededRNGs(seed, len(in))
-		res, err := d.runBatch(nil, k, in, rngs, 2e-4, 1e-4)
+		res, err := d.runBatch(nil, k, in, rngs, nil, 2e-4, 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestSparseBackendMatchesDenseAndNaive(t *testing.T) {
 	const pMAC = 2e-4
 	in := makeBatch(inputs, 5)
 	runAll := func() ([]Result, []Result) {
-		batch, err := d.runBatch(nil, k, in, seededRNGs(77, len(in)), pMAC, 0)
+		batch, err := d.runBatch(nil, k, in, seededRNGs(77, len(in)), nil, pMAC, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
