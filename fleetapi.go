@@ -88,8 +88,6 @@ type (
 	SLOStatus = telemetry.SLOStatus
 	// BoardHealth is one board's health score and state.
 	BoardHealth = telemetry.BoardHealth
-	// HealthConfig tunes the board health scorer's thresholds.
-	HealthConfig = telemetry.HealthConfig
 	// Postmortem is one retained crash record: pre-crash telemetry
 	// window, journal tail and active trace id.
 	Postmortem = telemetry.Postmortem

@@ -55,9 +55,10 @@ type Config struct {
 	// (quiescence, power) may be (default 25ms). Depth and in-flight
 	// are always read live — they are single atomic loads.
 	SignalTTL time.Duration
-	// EventCap bounds the router's own journal (default 1024).
-	EventCap int
 }
+
+// eventCap bounds the router's own journal.
+const eventCap = 1024
 
 // sanitize fills config defaults.
 func (c Config) sanitize() Config {
@@ -82,9 +83,6 @@ func (c Config) sanitize() Config {
 	}
 	if c.SignalTTL <= 0 {
 		c.SignalTTL = 25 * time.Millisecond
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 1024
 	}
 	return c
 }
@@ -161,7 +159,7 @@ var _ fleet.Scheduler = (*Router)(nil)
 // nearly as fast as one pool.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.sanitize()
-	r := &Router{cfg: cfg, journal: obs.NewJournal(cfg.EventCap)}
+	r := &Router{cfg: cfg, journal: obs.NewJournal(eventCap)}
 	total := cfg.Pools + cfg.Spares
 	for i := 0; i < total; i++ {
 		pc := cfg.Pool

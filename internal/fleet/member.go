@@ -117,9 +117,9 @@ type member struct {
 var regionCache sync.Map // string -> core.Regions
 
 func regionKey(sample board.SampleID, cfg Config) string {
-	return fmt.Sprintf("%d|%s|tiny=%t|bits=%d|sp=%.4f|psp=%.4f|be=%s|img=%d|seed=%d|step=%.1f|rep=%d",
+	return fmt.Sprintf("%d|%s|tiny=%t|bits=%d|sp=%.4f|psp=%.4f|be=%s|img=%d|seed=%d|rep=%d",
 		sample, cfg.Benchmark, cfg.Tiny, cfg.Bits, cfg.Sparsity, cfg.PruneSparsity,
-		cfg.SparseBackend, cfg.Images, cfg.Seed, cfg.CharStepMV, cfg.CharRepeats)
+		cfg.SparseBackend, cfg.Images, cfg.Seed, cfg.CharRepeats)
 }
 
 // newMember assembles board idx (cycling the paper's three silicon
@@ -135,7 +135,7 @@ func newMember(idx int, cfg Config) (*member, error) {
 	dcfg := dpu.B4096()
 	dcfg.GemmWorkers = cfg.GemmWorkers
 	dcfg.Backend = cfg.SparseBackend
-	rt, err := dnndk.NewRuntimeConfig(brd, dcfg, cfg.Cores)
+	rt, err := dnndk.NewRuntimeConfig(brd, dcfg, boardCores)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,7 @@ func (m *member) characterize(cfg Config) error {
 	}
 	c := core.NewCampaign(m.task, m.ds)
 	c.Config.VStartMV = 620
-	c.Config.VStepMV = cfg.CharStepMV
+	c.Config.VStepMV = charStepMV
 	c.Config.Repeats = cfg.CharRepeats
 	c.Config.Seed = cfg.Seed
 	reg, _, err := c.DetectRegions()

@@ -86,8 +86,6 @@ type Config struct {
 	MarginMV float64
 	// TargetMV overrides the automatic operating point when non-zero.
 	TargetMV float64
-	// CharStepMV is the characterization sweep step (default 5 mV).
-	CharStepMV float64
 	// CharRepeats is the repeats per characterization point (default 2).
 	CharRepeats int
 	// MaxAttempts bounds how many boards a single request may visit
@@ -102,9 +100,6 @@ type Config struct {
 	// MonitorInterval is the health-probe period for idle boards
 	// (default 50 ms; negative disables the monitor).
 	MonitorInterval time.Duration
-	// Cores is the DPU core count per board (default 3, the paper's
-	// baseline).
-	Cores int
 	// GemmWorkers pins the process-wide GEMM tile worker pool shared by
 	// the compute engine's macro-tiles and the batch executor's lanes
 	// (quant.SetWorkers); 0 keeps the GOMAXPROCS-aware automatic
@@ -119,11 +114,6 @@ type Config struct {
 	// ECCConfig). The zero value assembles the subsystem disabled with
 	// the default scrub cadence.
 	ECC ECCConfig
-	// EventCap bounds the fleet event journal: the ring retains the most
-	// recent EventCap structured events (default 4096). The journal is
-	// always assembled — event emission is off the request hot path and
-	// costs nothing when nobody reads it.
-	EventCap int
 	// Telemetry sizes the per-board time-series recorder, the health
 	// scorer and the crash flight recorder (see telemetry.Config). The
 	// zero value samples every board at the default 50ms interval; set
@@ -131,6 +121,18 @@ type Config struct {
 	// (tests drive SampleTelemetry explicitly).
 	Telemetry telemetry.Config
 }
+
+const (
+	// charStepMV is the characterization sweep step.
+	charStepMV = 5
+	// boardCores is the DPU core count per board, the paper's baseline.
+	boardCores = 3
+	// eventCap bounds the fleet event journal: the ring retains the most
+	// recent eventCap structured events. The journal is always
+	// assembled — event emission is off the request hot path and costs
+	// nothing when nobody reads it.
+	eventCap = 4096
+)
 
 // sanitize fills config defaults.
 func (c Config) sanitize() Config {
@@ -149,9 +151,6 @@ func (c Config) sanitize() Config {
 	if c.MarginMV <= 0 {
 		c.MarginMV = 10
 	}
-	if c.CharStepMV <= 0 {
-		c.CharStepMV = 5
-	}
 	if c.CharRepeats <= 0 {
 		c.CharRepeats = 2
 	}
@@ -163,12 +162,6 @@ func (c Config) sanitize() Config {
 	}
 	if c.MonitorInterval == 0 {
 		c.MonitorInterval = 50 * time.Millisecond
-	}
-	if c.Cores <= 0 {
-		c.Cores = 3
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 4096
 	}
 	c.Governor = c.Governor.sanitize()
 	c.ECC = c.ECC.sanitize()
@@ -370,7 +363,7 @@ func New(cfg Config) (*Pool, error) {
 		cfg:     cfg,
 		queue:   newWorkQueue(),
 		stop:    make(chan struct{}),
-		journal: obs.NewJournal(cfg.EventCap),
+		journal: obs.NewJournal(eventCap),
 	}
 	for i := 0; i < cfg.Boards; i++ {
 		m, err := newMember(i, cfg)

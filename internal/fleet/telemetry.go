@@ -145,7 +145,7 @@ func (p *Pool) boardHealth(m *member) telemetry.BoardHealth {
 	drift := m.vminDriftMV()
 	margin := m.opMV() - (m.regions.VminMV + drift)
 	sig := p.telem.HealthSignalsFor(m.idx, drift, margin)
-	h := telemetry.ScoreBoard(p.telemCfg.Health, sig)
+	h := telemetry.ScoreBoard(sig)
 	newState := int32(0)
 	switch h.State {
 	case telemetry.HealthWatch:
@@ -232,8 +232,8 @@ func (p *Pool) recordPostmortem(m *member) {
 		VCCBRAMmV: m.brd.VCCBRAMmV(),
 		TempC:     m.brd.DieTempC(),
 		Crashes:   m.crashes.Load(),
-		Events:    p.journal.Tail(p.telemCfg.JournalTail),
-		Window:    p.telem.Window(m.idx, p.telemCfg.WindowPoints),
+		Events:    p.journal.Tail(telemetry.JournalTail),
+		Window:    p.telem.Window(m.idx, telemetry.WindowPoints),
 	}
 	pm = p.telem.Flight().Record(pm)
 	m.event(obs.EvPostmortem, pm.VCCINTmV,

@@ -156,7 +156,9 @@ func eventLevel(kind string) slog.Level {
 // the cursor to pass next (the last returned Seq, or the caller's when
 // nothing new), and whether events between the cursor and the first
 // returned one were already evicted (gap). A zero cursor reads from the
-// oldest retained event; limit <= 0 means 256, capped at the ring size.
+// oldest retained event; a cursor at or past the newest event reads
+// nothing and comes back unchanged. limit <= 0 means 256, capped at the
+// ring size.
 func (j *Journal) Since(cursor uint64, limit int) (evs []Event, next uint64, gap bool) {
 	if j == nil {
 		return nil, cursor, false
@@ -170,6 +172,9 @@ func (j *Journal) Since(cursor uint64, limit int) (evs []Event, next uint64, gap
 		limit = len(j.buf)
 	}
 	total := j.next
+	if cursor >= total {
+		return nil, cursor, false // nothing after the newest event
+	}
 	oldest := uint64(1)
 	if total > uint64(len(j.buf)) {
 		oldest = total - uint64(len(j.buf)) + 1
@@ -184,12 +189,6 @@ func (j *Journal) Since(cursor uint64, limit int) (evs []Event, next uint64, gap
 		ev := j.buf[(seq-1)%uint64(len(j.buf))]
 		evs = append(evs, ev)
 		next = ev.Seq
-	}
-	if len(evs) == 0 && gap {
-		// Everything the cursor pointed past is gone and nothing is
-		// retained beyond it (possible only with cursor > total, which
-		// callers should not construct) — keep next coherent.
-		next = total
 	}
 	return evs, next, gap
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -47,6 +48,23 @@ func TestJournalCursor(t *testing.T) {
 	evs, next, gap = j.Since(next, 0)
 	if gap || len(evs) != 0 || next != 5 {
 		t.Fatalf("drained journal returned %d events, next %d, gap %v", len(evs), next, gap)
+	}
+}
+
+// A cursor at or past the newest event — the largest uint64 included,
+// whose successor wraps to 0 — reads nothing, reports no gap, and comes
+// back unchanged so the client never moves backwards.
+func TestJournalCursorPastEnd(t *testing.T) {
+	j := NewJournal(16)
+	for i := 0; i < 3; i++ {
+		j.Append(Event{Board: "b", Kind: EvScrub})
+	}
+	for _, cursor := range []uint64{3, 100, math.MaxUint64} {
+		evs, next, gap := j.Since(cursor, 0)
+		if len(evs) != 0 || gap || next != cursor {
+			t.Errorf("cursor %d: %d events, next %d, gap %v; want none, next %d, no gap",
+				cursor, len(evs), next, gap, cursor)
+		}
 	}
 }
 

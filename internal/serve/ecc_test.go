@@ -139,6 +139,21 @@ func auditEndpoints(t *testing.T, s *Server, ts *httptest.Server) {
 		return resp
 	}
 
+	// A refused method never reaches the handler: GET /v1/classify with
+	// tracing on opens no trace and publishes none.
+	s.Tracer().SetEnabled(true)
+	resp := do(http.MethodGet, "/v1/classify", "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("X-Uvolt-Trace") != "" {
+		t.Errorf("GET /v1/classify: status %d, trace header %q; want 405 and none",
+			resp.StatusCode, resp.Header.Get("X-Uvolt-Trace"))
+	}
+	if trs := s.Tracer().Recent(1); len(trs) != 0 {
+		t.Errorf("a 405 on /v1/classify published trace %s", trs[0].ID())
+	}
+	s.Tracer().SetEnabled(false)
+	before := requestsByPath(t, ts)
+
 	image := string(pixelsBody(testImage(s, 1)))
 	huge := `{"pixels":[` + strings.Repeat("0, ", 1<<16) + `0]}`
 	cases := []struct {
@@ -172,6 +187,14 @@ func auditEndpoints(t *testing.T, s *Server, ts *httptest.Server) {
 		{"governor DELETE", http.MethodDelete, "/v1/fleet/governor", "", http.StatusMethodNotAllowed},
 		{"ecc DELETE", http.MethodDelete, "/v1/fleet/ecc", "", http.StatusMethodNotAllowed},
 		{"metrics POST", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed},
+		{"trace POST", http.MethodPost, "/v1/trace/x", "{}", http.StatusMethodNotAllowed},
+		{"traces DELETE", http.MethodDelete, "/v1/traces", "", http.StatusMethodNotAllowed},
+		{"events POST", http.MethodPost, "/v1/fleet/events", "{}", http.StatusMethodNotAllowed},
+		{"history DELETE", http.MethodDelete, "/v1/fleet/history", "", http.StatusMethodNotAllowed},
+		{"health PUT", http.MethodPut, "/v1/fleet/health", "{}", http.StatusMethodNotAllowed},
+		{"postmortems DELETE", http.MethodDelete, "/v1/fleet/postmortems", "", http.StatusMethodNotAllowed},
+		// The method is refused before the handler parses ?pool=.
+		{"governor DELETE bad pool", http.MethodDelete, "/v1/fleet/governor?pool=9", "", http.StatusMethodNotAllowed},
 		// Malformed bodies on every POST endpoint.
 		{"classify bad body", http.MethodPost, "/v1/classify", "{nope", http.StatusBadRequest},
 		{"infer bad body", http.MethodPost, "/v1/infer", "{nope", http.StatusBadRequest},
@@ -239,4 +262,53 @@ func auditEndpoints(t *testing.T, s *Server, ts *httptest.Server) {
 			t.Errorf("%s: error body not in the JSON error shape: %q", tc.name, body)
 		}
 	}
+
+	// Every case — a 405 included — counts under its route's path label;
+	// /healthz and unknown /v1/fleet/* paths count under none.
+	resp = do(http.MethodGet, "/healthz", "")
+	resp.Body.Close()
+	want := map[string]float64{"/metrics": 1} // the scrape below
+	for _, tc := range cases {
+		if label := routeLabel(tc.path); label != "" {
+			want[label]++
+		}
+	}
+	after := requestsByPath(t, ts)
+	for path, n := range after {
+		if d := n - before[path]; d != want[path] {
+			t.Errorf("uvolt_http_requests_total{path=%q} rose by %v, want %v", path, d, want[path])
+		}
+	}
+	if len(after) != 13 {
+		t.Errorf("uvolt_http_requests_total has %d path labels, want 13: %v", len(after), after)
+	}
+}
+
+// routeLabel is the uvolt_http_requests_total path label a request
+// path counts under ("" for none).
+func routeLabel(path string) string {
+	path, _, _ = strings.Cut(path, "?")
+	switch path {
+	case "/v1/classify", "/v1/infer", "/v1/traces", "/metrics",
+		"/v1/fleet/status", "/v1/fleet/voltage", "/v1/fleet/governor", "/v1/fleet/ecc",
+		"/v1/fleet/events", "/v1/fleet/history", "/v1/fleet/health", "/v1/fleet/postmortems":
+		return path
+	}
+	if strings.HasPrefix(path, "/v1/trace/") {
+		return "/v1/trace"
+	}
+	return ""
+}
+
+// requestsByPath scrapes /metrics for uvolt_http_requests_total by path.
+func requestsByPath(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	_, _, samples := parseExposition(t, scrape(t, ts))
+	out := map[string]float64{}
+	for _, smp := range samples {
+		if smp.name == "uvolt_http_requests_total" {
+			out[smp.labels["path"]] = smp.value
+		}
+	}
+	return out
 }

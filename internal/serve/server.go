@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -64,25 +65,13 @@ type Server struct {
 	tracer  *obs.Tracer
 	started time.Time
 
-	classifyReqs   atomic.Int64
-	inferReqs      atomic.Int64
-	statusReqs     atomic.Int64
-	voltageReqs    atomic.Int64
-	governorReqs   atomic.Int64
-	eccReqs        atomic.Int64
-	metricsReqs    atomic.Int64
-	traceReqs      atomic.Int64
-	tracesReqs     atomic.Int64
-	eventsReqs     atomic.Int64
-	historyReqs    atomic.Int64
-	healthReqs     atomic.Int64
-	postmortemReqs atomic.Int64
-	errorResps     atomic.Int64
-
-	// resp2xx/4xx/5xx count responses by status class (499 lands in 4xx).
-	resp2xx atomic.Int64
-	resp4xx atomic.Int64
-	resp5xx atomic.Int64
+	// routes is the API route table (see New); each route counts its
+	// requests under its path label.
+	routes     []route
+	errorResps atomic.Int64
+	// resps counts responses by status class: 2xx, 4xx (499 included),
+	// 5xx.
+	resps [3]atomic.Int64
 
 	// batchSizes tracks accelerator-pass batch sizes by traffic kind;
 	// inferLatency and classifyLatency track request latency end to end;
@@ -132,24 +121,62 @@ func New(sched fleet.Scheduler, cfg Config) *Server {
 	s.batch.onBatch = func(kind string, units int) {
 		s.batchSizes[kind].Observe(float64(units))
 	}
-	s.mux.HandleFunc("/v1/classify", s.handleClassify)
-	s.mux.HandleFunc("/v1/infer", s.handleInfer)
-	s.mux.HandleFunc("/v1/trace/", s.handleTrace)
-	s.mux.HandleFunc("/v1/traces", s.handleTraces)
-	s.mux.HandleFunc("/v1/fleet/status", s.handleStatus)
-	s.mux.HandleFunc("/v1/fleet/voltage", s.handleVoltage)
-	s.mux.HandleFunc("/v1/fleet/governor", s.handleGovernor)
-	s.mux.HandleFunc("/v1/fleet/ecc", s.handleECC)
-	s.mux.HandleFunc("/v1/fleet/events", s.handleEvents)
-	s.mux.HandleFunc("/v1/fleet/history", s.handleHistory)
-	s.mux.HandleFunc("/v1/fleet/health", s.handleFleetHealth)
-	s.mux.HandleFunc("/v1/fleet/postmortems", s.handlePostmortems)
+	get, post := []string{http.MethodGet}, []string{http.MethodPost}
+	getPost := []string{http.MethodGet, http.MethodPost}
+	// The route table, in exposition order of uvolt_http_requests_total.
+	// A route's path label is its pattern without the subtree slash.
+	s.routes = []route{
+		{pattern: "/v1/classify", methods: post, handle: s.handleClassify},
+		{pattern: "/v1/infer", methods: post, handle: s.handleInfer},
+		{pattern: "/v1/fleet/status", methods: get, handle: s.handleStatus},
+		{pattern: "/v1/fleet/voltage", methods: post, handle: s.handleVoltage},
+		{pattern: "/v1/fleet/governor", methods: getPost, handle: s.handleGovernor},
+		{pattern: "/v1/fleet/ecc", methods: getPost, handle: s.handleECC},
+		{pattern: "/v1/trace/", methods: get, handle: s.handleTrace},
+		{pattern: "/v1/traces", methods: get, handle: s.handleTraces},
+		{pattern: "/v1/fleet/events", methods: get, handle: s.handleEvents},
+		{pattern: "/v1/fleet/history", methods: get, handle: s.handleHistory},
+		{pattern: "/v1/fleet/health", methods: get, handle: s.handleFleetHealth},
+		{pattern: "/v1/fleet/postmortems", methods: get, handle: s.handlePostmortems},
+		{pattern: "/metrics", methods: get, handle: s.handleMetrics},
+	}
+	for i := range s.routes {
+		rt := &s.routes[i]
+		rt.path = strings.TrimSuffix(rt.pattern, "/")
+		s.mux.HandleFunc(rt.pattern, s.serveRoute(rt))
+	}
 	// Unknown /v1/fleet/* paths get the API's JSON error shape, not the
-	// mux's plain-text 404.
+	// mux's plain-text 404. Neither it nor /healthz is counted.
 	s.mux.HandleFunc("/v1/fleet/", s.handleFleetNotFound)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	return s
+}
+
+// route is one row of the API route table: its mux pattern, the path
+// label its requests count under, the methods it accepts and its
+// handler.
+type route struct {
+	pattern, path string
+	methods       []string
+	handle        http.HandlerFunc
+	reqs          atomic.Int64
+}
+
+// serveRoute wraps a route's handler: it counts the request under the
+// route's path label and refuses a method the route does not accept
+// before the handler runs.
+func (s *Server) serveRoute(rt *route) http.HandlerFunc {
+	refusal := strings.Join(rt.methods, " or ") + " required"
+	return func(w http.ResponseWriter, r *http.Request) {
+		rt.reqs.Add(1)
+		for _, m := range rt.methods {
+			if r.Method == m {
+				rt.handle(w, r)
+				return
+			}
+		}
+		s.errorJSON(w, http.StatusMethodNotAllowed, refusal)
+	}
 }
 
 // Tracer exposes the request tracer (runtime toggling, tests).
@@ -272,13 +299,8 @@ func (s *Server) publishTrace(tr *obs.Trace) {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	s.classifyReqs.Add(1)
 	tr := s.startTrace(w, r)
 	defer s.publishTrace(tr)
-	if r.Method != http.MethodPost {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	dec := tr.Root().Child(obs.StageDecode)
 	var req classifyRequest
 	if r.ContentLength != 0 && !s.readJSON(w, r, &req) {
@@ -369,13 +391,8 @@ func (s *Server) readInferImage(w http.ResponseWriter, r *http.Request) (*tensor
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	s.inferReqs.Add(1)
 	tr := s.startTrace(w, r)
 	defer s.publishTrace(tr)
-	if r.Method != http.MethodPost {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	dec := tr.Root().Child(obs.StageDecode)
 	img, seed, err := s.readInferImage(w, r)
 	dec.End()
@@ -406,11 +423,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.statusReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	k, err := s.poolScope(r)
 	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, err.Error())
@@ -433,11 +445,6 @@ type voltageRequest struct {
 }
 
 func (s *Server) handleVoltage(w http.ResponseWriter, r *http.Request) {
-	s.voltageReqs.Add(1)
-	if r.Method != http.MethodPost {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req voltageRequest
 	if !s.readJSON(w, r, &req) {
 		return
@@ -514,7 +521,6 @@ func (s *Server) governorReport(k int) governorResponse {
 }
 
 func (s *Server) handleGovernor(w http.ResponseWriter, r *http.Request) {
-	s.governorReqs.Add(1)
 	k, err := s.poolScope(r)
 	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, err.Error())
@@ -550,8 +556,6 @@ func (s *Server) handleGovernor(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.writeJSON(w, http.StatusOK, s.governorReport(k))
-	default:
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET or POST required")
 	}
 }
 
@@ -597,7 +601,6 @@ func (s *Server) eccReport(k int) eccResponse {
 }
 
 func (s *Server) handleECC(w http.ResponseWriter, r *http.Request) {
-	s.eccReqs.Add(1)
 	k, err := s.poolScope(r)
 	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, err.Error())
@@ -627,8 +630,6 @@ func (s *Server) handleECC(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.writeJSON(w, http.StatusOK, s.eccReport(k))
-	default:
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET or POST required")
 	}
 }
 
@@ -637,14 +638,9 @@ func (s *Server) handleFleetNotFound(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metricsReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	s.resp2xx.Add(1) // bypasses writeJSON's class counting
+	s.resps[0].Add(1) // bypasses writeJSON's class counting
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.renderMetrics())
+	_, _ = w.Write(s.renderMetrics()) // a failed write means the scraper left; nothing to answer
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -663,14 +659,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	class := 0
 	switch {
 	case code >= 500:
-		s.resp5xx.Add(1)
+		class = 2
 	case code >= 400:
-		s.resp4xx.Add(1)
-	default:
-		s.resp2xx.Add(1)
+		class = 1
 	}
+	s.resps[class].Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)

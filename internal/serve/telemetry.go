@@ -3,13 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"fpgauv/internal/fleet"
 	"fpgauv/internal/telemetry"
 )
 
@@ -38,11 +36,6 @@ type historyResponse struct {
 // ("raw", "10s" or "1m"; default raw, all retained points). The pool
 // aggregate is addressable as a pseudo-board named after the pool.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	s.historyReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	q := r.URL.Query()
 	board := q.Get("board")
 	if board == "" {
@@ -103,11 +96,6 @@ type healthResponse struct {
 // health score and state (margin regression surfaces here before it
 // becomes crashes) plus the serving SLO burn-rate snapshot.
 func (s *Server) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
-	s.healthReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	k, err := s.poolScope(r)
 	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, err.Error())
@@ -138,11 +126,6 @@ type postmortemsResponse struct {
 // retained crash postmortems, newest first (default 20 — each carries a
 // journal tail and a full telemetry window, so the payload is heavy).
 func (s *Server) handlePostmortems(w http.ResponseWriter, r *http.Request) {
-	s.postmortemReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	k, err := s.poolScope(r)
 	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, err.Error())
@@ -168,79 +151,4 @@ func (s *Server) handlePostmortems(w http.ResponseWriter, r *http.Request) {
 		out.Postmortems = pms
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-// renderTelemetryMetrics appends the telemetry, health and SLO metric
-// families to the Prometheus exposition.
-func (s *Server) renderTelemetryMetrics(b *strings.Builder, st fleet.Status) {
-	family := func(name, help, typ string) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-
-	family("uvolt_temperature_celsius", "Die temperature by board.", "gauge")
-	for _, bd := range st.Boards {
-		fmt.Fprintf(b, "uvolt_temperature_celsius{board=%q} %.2f\n", bd.Board, bd.TempC)
-	}
-	family("uvolt_power_watts", "Total on-chip power by board.", "gauge")
-	for _, bd := range st.Boards {
-		fmt.Fprintf(b, "uvolt_power_watts{board=%q} %.3f\n", bd.Board, bd.PowerW)
-	}
-	family("uvolt_board_health_score", "Health score (100 = pristine margin, 0 = failing).", "gauge")
-	for _, bd := range st.Boards {
-		fmt.Fprintf(b, "uvolt_board_health_score{board=%q} %.1f\n", bd.Board, bd.HealthScore)
-	}
-	family("uvolt_board_degraded", "Whether the health scorer grades the board degraded.", "gauge")
-	for _, bd := range st.Boards {
-		v := 0
-		if bd.Health == telemetry.HealthDegraded {
-			v = 1
-		}
-		fmt.Fprintf(b, "uvolt_board_degraded{board=%q} %d\n", bd.Board, v)
-	}
-
-	var pmTotal int64
-	for _, p := range s.pools {
-		pmTotal += p.Telemetry().Flight().Total()
-	}
-	fmt.Fprintf(b, "# HELP uvolt_postmortems_total Crash postmortems recorded by the flight recorder.\n# TYPE uvolt_postmortems_total counter\nuvolt_postmortems_total %d\n", pmTotal)
-
-	slo := s.slo.Snapshot()
-	fmt.Fprintf(b, "# HELP uvolt_slo_availability_target Availability objective (fraction of requests that must succeed).\n# TYPE uvolt_slo_availability_target gauge\nuvolt_slo_availability_target %g\n", slo.AvailabilityTarget)
-	fmt.Fprintf(b, "# HELP uvolt_slo_latency_target_seconds Latency objective threshold.\n# TYPE uvolt_slo_latency_target_seconds gauge\nuvolt_slo_latency_target_seconds %g\n", slo.LatencyTargetMS/1e3)
-	family("uvolt_slo_burn_rate", "Error-budget burn rate by objective and window (1 = budget consumed exactly at the sustainable rate).", "gauge")
-	for _, obj := range slo.Objectives {
-		for _, wn := range obj.Windows {
-			fmt.Fprintf(b, "uvolt_slo_burn_rate{objective=%q,window=%q} %.3f\n", obj.Objective, wn.Window, wn.BurnRate)
-		}
-	}
-	family("uvolt_slo_burning", "Whether both burn windows exceed the alert threshold.", "gauge")
-	for _, obj := range slo.Objectives {
-		v := 0
-		if obj.Burning {
-			v = 1
-		}
-		fmt.Fprintf(b, "uvolt_slo_burning{objective=%q} %d\n", obj.Objective, v)
-	}
-	family("uvolt_slo_burn_events_total", "Rising-edge burn alerts journaled by objective.", "counter")
-	for _, obj := range slo.Objectives {
-		fmt.Fprintf(b, "uvolt_slo_burn_events_total{objective=%q} %d\n", obj.Objective, obj.BurnEvents)
-	}
-
-	family("uvolt_endpoint_latency_seconds", "Streaming latency quantiles by endpoint (log-bucketed digest).", "gauge")
-	for _, ep := range []struct {
-		name string
-		d    *telemetry.Digest
-	}{{"classify", s.classifyDigest}, {"infer", s.inferDigest}} {
-		snap := ep.d.Snapshot()
-		fmt.Fprintf(b, "uvolt_endpoint_latency_seconds{endpoint=%q,q=\"0.5\"} %.6f\n", ep.name, snap.P50)
-		fmt.Fprintf(b, "uvolt_endpoint_latency_seconds{endpoint=%q,q=\"0.99\"} %.6f\n", ep.name, snap.P99)
-		fmt.Fprintf(b, "uvolt_endpoint_latency_seconds{endpoint=%q,q=\"0.999\"} %.6f\n", ep.name, snap.P999)
-	}
-	family("uvolt_pool_job_latency_seconds", "Streaming board-visit latency quantiles by pool.", "gauge")
-	for _, p := range s.pools {
-		snap := p.LatencyDigest().Snapshot()
-		fmt.Fprintf(b, "uvolt_pool_job_latency_seconds{pool=%q,q=\"0.5\"} %.6f\n", p.Name(), snap.P50)
-		fmt.Fprintf(b, "uvolt_pool_job_latency_seconds{pool=%q,q=\"0.99\"} %.6f\n", p.Name(), snap.P99)
-		fmt.Fprintf(b, "uvolt_pool_job_latency_seconds{pool=%q,q=\"0.999\"} %.6f\n", p.Name(), snap.P999)
-	}
 }

@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -208,4 +210,76 @@ func getJSON(t *testing.T, url string, v any) {
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatalf("GET %s: decode: %v", url, err)
 	}
+}
+
+// FuzzFleetQuery sends raw query strings to the GET endpoints that parse
+// one: history, health, postmortems, events and traces. Whatever the
+// query, the answer is 200, 400 or 404 with a JSON body; a given limit
+// (n for history) bounds the returned list, and an events reply never
+// hands back a cursor below the one sent.
+func FuzzFleetQuery(f *testing.F) {
+	cfg := obsFleetConfig(1)
+	cfg.Telemetry = telemetry.Config{Interval: -1}
+	pool, err := fleet.New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(pool, Config{Trace: true})
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	// 200 s of 1 Hz history spans several buckets at every resolution; a
+	// classify through two injected crashes leaves traces, journal events
+	// and postmortems to page through.
+	for i := 0; i < 200; i++ {
+		pool.Telemetry().Observe(0, int64(i)*1e9, telemetry.BoardSample{VCCINTmV: 600 + float64(i%7)})
+	}
+	if err := pool.InjectFailures(0, 2); err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/classify", strings.NewReader(`{"seed":3}`)))
+		if w.Code != http.StatusOK {
+			f.Fatalf("classify status %d: %s", w.Code, w.Body)
+		}
+	}
+
+	paths := []string{"/v1/fleet/history", "/v1/fleet/health", "/v1/fleet/postmortems", "/v1/fleet/events", "/v1/traces"}
+	f.Fuzz(func(t *testing.T, which uint8, query string) {
+		path := paths[int(which)%len(paths)]
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.URL.RawQuery = query
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("GET %s?%s: status %d", path, query, w.Code)
+		}
+		var page struct {
+			Points      []json.RawMessage `json:"points"`
+			Postmortems []json.RawMessage `json:"postmortems"`
+			Events      []json.RawMessage `json:"events"`
+			Traces      []json.RawMessage `json:"traces"`
+			NextCursor  uint64            `json:"next_cursor"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &page); err != nil {
+			t.Fatalf("GET %s?%s: body is not JSON: %v (%q)", path, query, err, w.Body)
+		}
+		if w.Code != http.StatusOK {
+			return
+		}
+		q := r.URL.Query()
+		key := "limit"
+		if path == "/v1/fleet/history" {
+			key = "n"
+		}
+		got := len(page.Points) + len(page.Postmortems) + len(page.Events) + len(page.Traces)
+		if k, err := strconv.Atoi(q.Get(key)); err == nil && got > k {
+			t.Fatalf("GET %s?%s: %d entries, more than %s=%d", path, query, got, key, k)
+		}
+		if c, err := strconv.ParseUint(q.Get("cursor"), 10, 64); err == nil && path == "/v1/fleet/events" && page.NextCursor < c {
+			t.Fatalf("GET %s?%s: next_cursor %d is below the cursor sent", path, query, page.NextCursor)
+		}
+	})
 }

@@ -86,11 +86,6 @@ func renderTrace(tr *obs.Trace) traceJSON {
 
 // handleTrace serves GET /v1/trace/{id}: one retained trace's span tree.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.traceReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	tr := s.tracer.Get(id)
 	if tr == nil {
@@ -103,11 +98,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleTraces serves GET /v1/traces?limit=N: the most recent retained
 // traces, newest first (default 20).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	s.tracesReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	limit := 20
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -136,11 +126,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // poll; gap reports that the ring dropped events between the caller's
 // cursor and the oldest retained entry.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.eventsReqs.Add(1)
-	if r.Method != http.MethodGet {
-		s.errorJSON(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	k, err := s.poolScope(r)
 	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, err.Error())

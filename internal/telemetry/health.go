@@ -9,45 +9,25 @@ const (
 	HealthDegraded = "degraded"
 )
 
-// HealthConfig tunes the board health scorer's thresholds.
-type HealthConfig struct {
-	// VminDriftWatchMV / VminDriftDegradedMV grade estimated Vmin drift
-	// versus the characterization baseline (defaults 5 / 10 mV — the
-	// paper measures mV-scale Vmin movement per °C, so double-digit
-	// drift means the static guardband assumption is stale).
-	VminDriftWatchMV    float64
-	VminDriftDegradedMV float64
-	// CorrectedWatchRate / CorrectedDegradedRate grade the corrected-ECC
-	// word rate (words/s, defaults 25 / 100): a rising corrected rate at
-	// a fixed rail is the paper's aging/temperature early-warning signal
-	// — the errors SECDED still absorbs today become uncorrectable as
-	// the margin keeps eroding.
-	CorrectedWatchRate    float64
-	CorrectedDegradedRate float64
-	// CrashWatch is the recent-crash count that flags a board (default
-	// 3 crashes inside the recorder's raw window).
-	CrashWatch int64
-}
-
-// sanitize fills defaults.
-func (c HealthConfig) sanitize() HealthConfig {
-	if c.VminDriftWatchMV <= 0 {
-		c.VminDriftWatchMV = 5
-	}
-	if c.VminDriftDegradedMV <= c.VminDriftWatchMV {
-		c.VminDriftDegradedMV = 2 * c.VminDriftWatchMV
-	}
-	if c.CorrectedWatchRate <= 0 {
-		c.CorrectedWatchRate = 25
-	}
-	if c.CorrectedDegradedRate <= c.CorrectedWatchRate {
-		c.CorrectedDegradedRate = 4 * c.CorrectedWatchRate
-	}
-	if c.CrashWatch <= 0 {
-		c.CrashWatch = 3
-	}
-	return c
-}
+// Health scorer thresholds.
+const (
+	// vminDriftWatchMV / vminDriftDegradedMV grade estimated Vmin drift
+	// versus the characterization baseline: the paper measures mV-scale
+	// Vmin movement per °C, so double-digit drift means the static
+	// guardband assumption is stale.
+	vminDriftWatchMV    float64 = 5
+	vminDriftDegradedMV float64 = 10
+	// correctedWatchRate / correctedDegradedRate grade the corrected-ECC
+	// word rate (words/s): a rising corrected rate at a fixed rail is the
+	// paper's aging/temperature early-warning signal — the errors SECDED
+	// still absorbs today become uncorrectable as the margin keeps
+	// eroding.
+	correctedWatchRate    float64 = 25
+	correctedDegradedRate float64 = 100
+	// crashWatch is the crash count inside the recorder's raw window
+	// that flags a board.
+	crashWatch int64 = 3
+)
 
 // HealthSignals are one board's scorer inputs, extracted from the
 // recorder's history and the fleet's margin estimate.
@@ -95,8 +75,7 @@ type BoardHealth struct {
 }
 
 // ScoreBoard grades one board's margin-regression signals.
-func ScoreBoard(cfg HealthConfig, in HealthSignals) BoardHealth {
-	cfg = cfg.sanitize()
+func ScoreBoard(in HealthSignals) BoardHealth {
 	trend := in.CorrectedRate - in.CorrectedPriorRate
 	h := BoardHealth{
 		Board:          in.Board,
@@ -110,9 +89,9 @@ func ScoreBoard(cfg HealthConfig, in HealthSignals) BoardHealth {
 
 	score := 100.0
 	score -= clampF(5*in.VminDriftMV, 0, 50)
-	score -= clampF(30*in.CorrectedRate/cfg.CorrectedDegradedRate, 0, 30)
+	score -= clampF(30*in.CorrectedRate/correctedDegradedRate, 0, 30)
 	if trend > 0 {
-		score -= clampF(10*trend/cfg.CorrectedWatchRate, 0, 10)
+		score -= clampF(10*trend/correctedWatchRate, 0, 10)
 	}
 	score -= clampF(10*float64(in.RecentCrashes), 0, 20)
 	if in.UncorrectableRate > 0 && score > 40 {
@@ -131,21 +110,21 @@ func ScoreBoard(cfg HealthConfig, in HealthSignals) BoardHealth {
 		h.Reasons = append(h.Reasons, reason)
 	}
 	switch {
-	case in.VminDriftMV >= cfg.VminDriftDegradedMV:
-		degraded(fmt.Sprintf("vmin drift %.1f mV >= %.1f mV", in.VminDriftMV, cfg.VminDriftDegradedMV))
-	case in.VminDriftMV >= cfg.VminDriftWatchMV:
-		watch(fmt.Sprintf("vmin drift %.1f mV >= %.1f mV", in.VminDriftMV, cfg.VminDriftWatchMV))
+	case in.VminDriftMV >= vminDriftDegradedMV:
+		degraded(fmt.Sprintf("vmin drift %.1f mV >= %.1f mV", in.VminDriftMV, vminDriftDegradedMV))
+	case in.VminDriftMV >= vminDriftWatchMV:
+		watch(fmt.Sprintf("vmin drift %.1f mV >= %.1f mV", in.VminDriftMV, vminDriftWatchMV))
 	}
 	switch {
-	case in.CorrectedRate >= cfg.CorrectedDegradedRate:
-		degraded(fmt.Sprintf("corrected-ECC rate %.1f/s >= %.1f/s", in.CorrectedRate, cfg.CorrectedDegradedRate))
-	case in.CorrectedRate >= cfg.CorrectedWatchRate && trend > 0:
+	case in.CorrectedRate >= correctedDegradedRate:
+		degraded(fmt.Sprintf("corrected-ECC rate %.1f/s >= %.1f/s", in.CorrectedRate, correctedDegradedRate))
+	case in.CorrectedRate >= correctedWatchRate && trend > 0:
 		watch(fmt.Sprintf("corrected-ECC rate %.1f/s rising (+%.1f/s)", in.CorrectedRate, trend))
 	}
 	if in.UncorrectableRate > 0 {
 		degraded(fmt.Sprintf("uncorrectable-ECC rate %.2f/s", in.UncorrectableRate))
 	}
-	if in.RecentCrashes >= cfg.CrashWatch {
+	if in.RecentCrashes >= crashWatch {
 		watch(fmt.Sprintf("%d crashes in window", in.RecentCrashes))
 	}
 	if h.State == HealthOK && score < 60 {

@@ -67,28 +67,32 @@ type Config struct {
 	// the background sampler — SampleNow/explicit observation still
 	// works, which is how tests drive deterministic histories).
 	Interval time.Duration
-	// RawCap / Raw10sCap / Raw1mCap size the per-series rings (defaults
-	// 512 raw samples, 360 10-second buckets = 1h, 240 1-minute buckets
-	// = 4h).
+	// RawCap sizes the per-series raw ring (default 512 samples).
 	RawCap int
-	Cap10s int
-	Cap1m  int
 	// HealthWindow is how many raw samples the health scorer's recent
 	// window spans (default 16; the prior window is the 16 before it).
 	HealthWindow int
-	// Postmortems bounds the flight recorder (default 32); JournalTail
-	// and WindowPoints size each postmortem's journal and telemetry
-	// snapshots (defaults 64 events, 64 raw points per series).
-	Postmortems  int
-	JournalTail  int
-	WindowPoints int
-	// Health tunes the board health scorer.
-	Health HealthConfig
 	// SLO declares the serving objectives (consumed by the HTTP layer's
 	// tracker, carried here so one config block configures the
 	// subsystem end to end).
 	SLO SLOConfig
 }
+
+const (
+	// cap10s and cap1m size the per-series rollup rings: 360 10-second
+	// buckets = 1h, 240 1-minute buckets = 4h.
+	cap10s = 360
+	cap1m  = 240
+	// postmortemCap bounds the flight recorder.
+	postmortemCap = 32
+)
+
+// JournalTail and WindowPoints size each crash postmortem's journal
+// snapshot (events) and telemetry window (raw points per series).
+const (
+	JournalTail  = 64
+	WindowPoints = 64
+)
 
 // Sanitize fills defaults (exported: fleet sanitizes its embedded
 // config).
@@ -99,28 +103,12 @@ func (c Config) Sanitize() Config {
 	if c.RawCap <= 0 {
 		c.RawCap = 512
 	}
-	if c.Cap10s <= 0 {
-		c.Cap10s = 360
-	}
-	if c.Cap1m <= 0 {
-		c.Cap1m = 240
-	}
 	if c.HealthWindow <= 0 {
 		c.HealthWindow = 16
 	}
 	if c.HealthWindow > c.RawCap/2 {
 		c.HealthWindow = c.RawCap / 2
 	}
-	if c.Postmortems <= 0 {
-		c.Postmortems = 32
-	}
-	if c.JournalTail <= 0 {
-		c.JournalTail = 64
-	}
-	if c.WindowPoints <= 0 {
-		c.WindowPoints = 64
-	}
-	c.Health = c.Health.sanitize()
 	c.SLO = c.SLO.sanitize()
 	return c
 }
@@ -178,12 +166,12 @@ func NewRecorder(cfg Config, boardIDs []string) *Recorder {
 	r := &Recorder{
 		cfg:    cfg,
 		index:  make(map[string]int, len(boardIDs)),
-		flight: NewFlightRecorder(cfg.Postmortems),
+		flight: NewFlightRecorder(postmortemCap),
 	}
 	for i, id := range boardIDs {
 		br := &boardRec{id: id}
 		for s := range br.series {
-			br.series[s] = newSeries(cfg.RawCap, cfg.Cap10s, cfg.Cap1m)
+			br.series[s] = newSeries(cfg.RawCap, cap10s, cap1m)
 		}
 		r.boards = append(r.boards, br)
 		r.index[id] = i

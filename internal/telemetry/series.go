@@ -147,17 +147,18 @@ func (s *Series) Points(res string, n int, dst []Point) []Point {
 
 func (s *Series) rollupPoints(level, n int, dst []Point) []Point {
 	ru := &s.rollups[level]
-	open := ru.bucket >= 0 && ru.acc.Count > 0
-	if open && n > 0 {
-		n-- // leave room for the open bucket
+	if ru.bucket < 0 || ru.acc.Count == 0 {
+		return ru.ring.tail(n, dst)
 	}
-	dst = ru.ring.tail(n, dst)
-	if open {
-		p := ru.acc
-		p.Mean /= float64(p.Count)
-		dst = append(dst, p)
+	// The open bucket is the newest point: n-1 closed ones precede it
+	// (every retained one when n <= 0, none when n == 1 — tail reads a
+	// non-positive count as all).
+	if n != 1 {
+		dst = ru.ring.tail(n-1, dst)
 	}
-	return dst
+	p := ru.acc
+	p.Mean /= float64(p.Count)
+	return append(dst, p)
 }
 
 // ValidRes reports whether res names a supported resolution.

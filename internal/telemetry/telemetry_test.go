@@ -86,6 +86,43 @@ func TestSeriesRollupWraparound(t *testing.T) {
 	}
 }
 
+// TestSeriesPointsLimit: a read of n points returns min(n, retained) at
+// every resolution, and a rollup read's newest point is the open bucket
+// — n=1 included, which once returned the whole ring.
+func TestSeriesPointsLimit(t *testing.T) {
+	const rawCap, cap10s, cap1m = 8, 4, 3
+	s := newSeries(rawCap, cap10s, cap1m)
+	const secs = 400 // 1 Hz: 39 closed 10s buckets, 6 closed 1m buckets, both open
+	for i := 0; i < secs; i++ {
+		s.Observe(int64(i)*1e9, float64(i))
+	}
+	for _, tc := range []struct {
+		res      string
+		ring     int
+		retained int
+		openAtNS int64
+	}{
+		{ResRaw, rawCap, rawCap, -1},
+		{Res10s, cap10s, cap10s + 1, 390e9},
+		{Res1m, cap1m, cap1m + 1, 360e9},
+	} {
+		for _, n := range []int{1, 2, 3, tc.ring, tc.ring + 1} {
+			pts := s.Points(tc.res, n, nil)
+			if len(pts) != min(n, tc.retained) {
+				t.Errorf("%s n=%d: %d points, want %d", tc.res, n, len(pts), min(n, tc.retained))
+				continue
+			}
+			newest := pts[len(pts)-1]
+			if newest.Last != secs-1 {
+				t.Errorf("%s n=%d: newest point last = %g, want %d", tc.res, n, newest.Last, secs-1)
+			}
+			if tc.openAtNS >= 0 && newest.AtNS != tc.openAtNS {
+				t.Errorf("%s n=%d: newest point at %d ns, want the open bucket at %d", tc.res, n, newest.AtNS, tc.openAtNS)
+			}
+		}
+	}
+}
+
 // TestDigestQuantileError: quantiles come back within the bucket
 // geometry's relative error bound on a known distribution.
 func TestDigestQuantileError(t *testing.T) {
@@ -293,7 +330,7 @@ func TestSLODefaults(t *testing.T) {
 // TestScoreBoardThresholds walks the scorer through the documented
 // grading boundaries.
 func TestScoreBoardThresholds(t *testing.T) {
-	cfg := HealthConfig{} // defaults: drift 5/10, corrected 25/100, crashes 3
+	// Thresholds: drift 5/10, corrected 25/100, crashes 3.
 	cases := []struct {
 		name  string
 		in    HealthSignals
@@ -310,7 +347,7 @@ func TestScoreBoardThresholds(t *testing.T) {
 		{"crashes", HealthSignals{RecentCrashes: 3}, HealthWatch},
 	}
 	for _, tc := range cases {
-		h := ScoreBoard(cfg, tc.in)
+		h := ScoreBoard(tc.in)
 		if h.State != tc.state {
 			t.Errorf("%s: state = %s, want %s (%+v)", tc.name, h.State, tc.state, h)
 		}
@@ -322,11 +359,11 @@ func TestScoreBoardThresholds(t *testing.T) {
 		}
 	}
 	// Uncorrectable traffic clamps an otherwise-clean score to <= 40.
-	if h := ScoreBoard(cfg, HealthSignals{UncorrectableRate: 0.1}); h.Score > 40 {
+	if h := ScoreBoard(HealthSignals{UncorrectableRate: 0.1}); h.Score > 40 {
 		t.Fatalf("uncorrectable clamp: score = %g, want <= 40", h.Score)
 	}
 	// Pristine board scores exactly 100.
-	if h := ScoreBoard(cfg, HealthSignals{}); h.Score != 100 {
+	if h := ScoreBoard(HealthSignals{}); h.Score != 100 {
 		t.Fatalf("pristine score = %g, want 100", h.Score)
 	}
 }
@@ -478,9 +515,7 @@ func TestMergePostmortems(t *testing.T) {
 // TestConfigSanitize: documented defaults and the HealthWindow cap.
 func TestConfigSanitize(t *testing.T) {
 	c := Config{}.Sanitize()
-	if c.Interval != 50*time.Millisecond || c.RawCap != 512 || c.Cap10s != 360 ||
-		c.Cap1m != 240 || c.HealthWindow != 16 || c.Postmortems != 32 ||
-		c.JournalTail != 64 || c.WindowPoints != 64 {
+	if c.Interval != 50*time.Millisecond || c.RawCap != 512 || c.HealthWindow != 16 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	if got := (Config{RawCap: 8, HealthWindow: 100}).Sanitize().HealthWindow; got != 4 {
