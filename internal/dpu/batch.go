@@ -113,13 +113,44 @@ func (s *Scratch) batchBind(n int) *batchArena {
 // BatchRNGs returns n arena-pooled fault-stream generators for a batched
 // run. Callers seed each generator (rngs[i].Seed(...)) before passing the
 // slice to RunBatch; pooling them in the arena keeps the steady-state
-// serving path allocation-free.
+// serving path allocation-free. A generator applies its seed when it is
+// first drawn (lazySource), so a fault-free pass seeds nothing and a
+// faulty one seeds each stream in the lane that draws it.
 func (s *Scratch) BatchRNGs(n int) []*rand.Rand {
 	ba := s.arena()
 	for len(ba.rngs) < n {
-		ba.rngs = append(ba.rngs, rand.New(rand.NewSource(0)))
+		ba.rngs = append(ba.rngs, rand.New(&lazySource{src: rand.NewSource(0).(rand.Source64)}))
 	}
 	return ba.rngs[:n]
+}
+
+// lazySource is a rand.Source64 whose Seed only records the seed; the
+// first Int63 or Uint64 after it seeds the underlying source — the
+// costly step, which refills its whole 607-word state. The stream is
+// the eagerly seeded one.
+type lazySource struct {
+	src     rand.Source64
+	seed    int64
+	pending bool
+}
+
+func (l *lazySource) Seed(seed int64) { l.seed, l.pending = seed, true }
+
+func (l *lazySource) Int63() int64 {
+	l.apply()
+	return l.src.Int63()
+}
+
+func (l *lazySource) Uint64() uint64 {
+	l.apply()
+	return l.src.Uint64()
+}
+
+func (l *lazySource) apply() {
+	if l.pending {
+		l.src.Seed(l.seed)
+		l.pending = false
+	}
 }
 
 // RunBatch executes one micro-batch at the board's present electrical

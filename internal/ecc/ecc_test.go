@@ -183,3 +183,42 @@ func TestProtectionZeroValues(t *testing.T) {
 		t.Error("enable did not take")
 	}
 }
+
+// FuzzSECDED flips 0–2 distinct bits of a fuzzed data word's 72-bit
+// codeword (bits 0–63 data, 64–71 check) and holds Decode to the SECDED
+// contract: no flip decodes clean, one flip — data or check — decodes
+// corrected with the data intact, and two flips are detected, never
+// corrected and never silent.
+func FuzzSECDED(f *testing.F) {
+	// The seed corpus proper is testdata/fuzz/FuzzSECDED.
+	f.Add(uint64(0xdeadbeefcafef00d), uint8(2), uint8(3), uint8(70))
+	f.Fuzz(func(t *testing.T, data uint64, flips, a, b uint8) {
+		n := int(flips) % 3
+		pa := int(a) % (WordBits + CheckBits)
+		pb := (pa + 1 + int(b)%(WordBits+CheckBits-1)) % (WordBits + CheckBits)
+		check := Encode(data)
+		word, chk := data, check
+		for _, pos := range []int{pa, pb}[:n] {
+			if pos < WordBits {
+				word ^= 1 << uint(pos)
+			} else {
+				chk ^= 1 << uint(pos-WordBits)
+			}
+		}
+		out, o := Decode(word, chk)
+		switch n {
+		case 0:
+			if o != OutcomeClean || out != data {
+				t.Fatalf("%#x unflipped: %v, out %#x", data, o, out)
+			}
+		case 1:
+			if o != OutcomeCorrected || out != data {
+				t.Fatalf("%#x flip %d: %v, out %#x", data, pa, o, out)
+			}
+		case 2:
+			if o != OutcomeDetected {
+				t.Fatalf("%#x flips %d,%d: %v, out %#x", data, pa, pb, o, out)
+			}
+		}
+	})
+}

@@ -29,7 +29,10 @@ type Dataset struct {
 	fp uint64
 }
 
-// NewDataset generates n deterministic samples.
+// NewDataset generates n deterministic samples. Sample i mixes
+// prototype i%bank with noise from its own seeded rng, so the samples
+// are drawn on several executors (nn.Parallel) and come out the same
+// at any width.
 func NewDataset(name string, classes int, shape nn.Shape, n int, seed int64) *Dataset {
 	d := &Dataset{
 		Name:    name,
@@ -40,18 +43,16 @@ func NewDataset(name string, classes int, shape nn.Shape, n int, seed int64) *Da
 	protoRng := rand.New(rand.NewSource(seed))
 	// A small bank of class prototypes; 1000-class sets reuse a bank of
 	// 32 prototypes — diversity of inputs is what matters, labels are
-	// planted.
-	bank := classes
-	if bank > 32 {
-		bank = 32
-	}
-	protos := make([]*tensor.Tensor, bank)
+	// planted. Prototype i depends only on the draws before it, so a
+	// set smaller than the bank builds only the ones it uses.
+	bank := min(classes, 32)
+	protos := make([]*tensor.Tensor, min(n, bank))
 	for i := range protos {
 		p := tensor.New(shape.C, shape.H, shape.W)
 		p.FillRandn(protoRng, 1.0)
 		protos[i] = p
 	}
-	for i := 0; i < n; i++ {
+	nn.Parallel(n, func(i int) {
 		rng := rand.New(rand.NewSource(seed + 7919*int64(i+1)))
 		x := tensor.New(shape.C, shape.H, shape.W)
 		x.FillRandn(rng, 0.6)
@@ -59,7 +60,7 @@ func NewDataset(name string, classes int, shape nn.Shape, n int, seed int64) *Da
 			panic(err) // shapes match by construction
 		}
 		d.Inputs[i] = x
-	}
+	})
 	return d
 }
 

@@ -72,12 +72,16 @@ func (c *Conv2D) MACs(in []Shape) int64 {
 	return int64(out.H*out.W) * int64(c.OutC) * int64(c.InC*c.Kernel*c.Kernel)
 }
 
-// Forward implements Op (float32 reference path). It walks output
-// rows: each plane starts at the bias, then every tap (ic, ky, kx) adds
-// x*w along the run of outputs it reaches in bounds. Every output thus
-// sums bias then its taps in (ic, ky, kx) order with one acc += x*w per
-// tap, as the direct formula does, so the result is bit-identical to it
-// (DESIGN.md, "The float reference path").
+// Forward implements Op (float32 reference path). It is a register
+// tile: four output channels at a time, each output held in a register
+// from its bias through every in-bounds tap in (ic, ky, kx) order,
+// one acc += x*w per tap, and stored once. That is the direct formula's
+// order and expression, so the result is bit-identical to it
+// (DESIGN.md, "The float reference path"). Interior outputs, whose
+// k×k taps all lie in bounds, walk a tap-offset table two adjacent
+// pixels at a time; every other output (and a row's odd interior one)
+// walks the (ky, kx) ranges clipped to the input, and one no tap
+// reaches keeps its bias.
 func (c *Conv2D) Forward(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	x, err := one("conv", in)
 	if err != nil {
@@ -92,61 +96,148 @@ func (c *Conv2D) Forward(in []*tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	out := tensor.New(os.C, os.H, os.W)
-	xd, wd, od := x.Data(), c.Weights.Data(), out.Data()
 	k, st, pad := c.Kernel, c.Stride, c.Pad
-	for oc := 0; oc < os.C; oc++ {
-		plane := od[oc*os.H*os.W : (oc+1)*os.H*os.W]
-		for i := range plane {
-			plane[i] = c.Bias[oc]
+	reduce := c.InC * k * k
+	t := convTile{
+		x: x.Data(), h: s.H, w: s.W, k: k, st: st, pad: pad, inC: c.InC,
+		taps: make([]convTap, 0, reduce),
+	}
+	for ic := 0; ic < c.InC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				t.taps = append(t.taps, convTap{off: ic*s.H*s.W + ky*s.W + kx})
+			}
 		}
-		for ic := 0; ic < c.InC; ic++ {
-			xc := xd[ic*s.H*s.W : (ic+1)*s.H*s.W]
-			taps := wd[(oc*c.InC+ic)*k*k : (oc*c.InC+ic+1)*k*k]
-			for ky := 0; ky < k; ky++ {
-				oy0, oy1 := reach(ky, st, pad, s.H, os.H)
-				for kx := 0; kx < k; kx++ {
-					ox0, ox1 := reach(kx, st, pad, s.W, os.W)
-					n := ox1 - ox0
-					if n == 0 {
-						continue
-					}
-					w := taps[ky*k+kx]
-					ob := oy0*os.W + ox0
-					xb := (oy0*st-pad+ky)*s.W + ox0*st - pad + kx
-					for oy := oy0; oy < oy1; oy++ {
-						o := plane[ob : ob+n]
-						if st == 1 {
-							for i, v := range xc[xb : xb+n] {
-								o[i] += v * w
-							}
-						} else {
-							xs := xc[xb : xb+(n-1)*st+1]
-							for i := range o {
-								o[i] += xs[i*st] * w
-							}
-						}
-						ob += os.W
-						xb += st * s.W
-					}
-				}
+	}
+	oyLo, oyHi := interior(st, pad, k, s.H, os.H)
+	oxLo, oxHi := interior(st, pad, k, s.W, os.W)
+	wd, od, plane := c.Weights.Data(), out.Data(), os.H*os.W
+	for ob := 0; ob < os.C; ob += 4 {
+		// The block's weights, tap-major; a ragged last block repeats
+		// its last channel in the spare lanes and stores only the real
+		// ones.
+		lanes := min(4, os.C-ob)
+		var bias [4]float32
+		for j := range bias {
+			oc := ob + min(j, lanes-1)
+			bias[j] = c.Bias[oc]
+			for p, w := range wd[oc*reduce : (oc+1)*reduce] {
+				t.taps[p].w[j] = w
+			}
+		}
+		for oy := 0; oy < os.H; oy++ {
+			lo, hi := 0, 0
+			if oy >= oyLo && oy < oyHi {
+				lo, hi = oxLo, oxHi
+			}
+			o := od[ob*plane+oy*os.W:]
+			for ox := 0; ox < lo; ox++ {
+				a0, a1, a2, a3 := t.clipped(oy, ox, bias)
+				put(o[ox:], plane, lanes, a0, a1, a2, a3)
+			}
+			ox := lo
+			for base := (oy*st-pad)*s.W + lo*st - pad; ox+1 < hi; ox, base = ox+2, base+2*st {
+				a0, a1, a2, a3, b0, b1, b2, b3 := t.pair(base, bias)
+				put(o[ox:], plane, lanes, a0, a1, a2, a3)
+				put(o[ox+1:], plane, lanes, b0, b1, b2, b3)
+			}
+			for ; ox < os.W; ox++ {
+				a0, a1, a2, a3 := t.clipped(oy, ox, bias)
+				put(o[ox:], plane, lanes, a0, a1, a2, a3)
 			}
 		}
 	}
 	return out, nil
 }
 
-// reach returns the outputs [lo, hi) of an n-wide input axis that tap t
-// reaches at stride st and padding pad: those whose input coordinate
-// o*st - pad + t lies in [0, n), clipped to the outN outputs.
-func reach(t, st, pad, n, outN int) (lo, hi int) {
-	if d := pad - t; d > 0 {
-		lo = (d + st - 1) / st
+// convTile is one Forward call's input and the current block's weight
+// panel, one convTap per tap in (ic, ky, kx) order.
+type convTile struct {
+	x                     []float32
+	h, w, k, st, pad, inC int
+	taps                  []convTap
+}
+
+// convTap is one tap's offset from an interior window's first input and
+// its weight for the block's four channels.
+type convTap struct {
+	off int
+	w   [4]float32
+}
+
+// interior returns the outputs [lo, hi) of an n-wide input axis whose
+// k taps at stride st and padding pad all lie in bounds, clipped to the
+// outN outputs (lo == hi when there are none).
+func interior(st, pad, k, n, outN int) (lo, hi int) {
+	lo = (pad + st - 1) / st
+	if e := n - k + pad; e >= 0 {
+		hi = min(e/st+1, outN)
 	}
-	if e := n - 1 + pad - t; e >= 0 {
-		hi = e/st + 1
-	}
-	hi = min(hi, outN)
 	return min(lo, hi), hi
+}
+
+// pair computes the interior outputs whose windows start at x[base] and
+// x[base+st], one accumulator per (pixel, lane).
+func (t *convTile) pair(base int, bias [4]float32) (a0, a1, a2, a3, b0, b1, b2, b3 float32) {
+	a0, a1, a2, a3 = bias[0], bias[1], bias[2], bias[3]
+	b0, b1, b2, b3 = a0, a1, a2, a3
+	x0, x1 := t.x[base:], t.x[base+t.st:]
+	for p := range t.taps {
+		tp := &t.taps[p]
+		w := &tp.w
+		u, v := x0[tp.off], x1[tp.off]
+		a0 += u * w[0]
+		a1 += u * w[1]
+		a2 += u * w[2]
+		a3 += u * w[3]
+		b0 += v * w[0]
+		b1 += v * w[1]
+		b2 += v * w[2]
+		b3 += v * w[3]
+	}
+	return
+}
+
+// clipped computes output (oy, ox) over the taps whose input lies in
+// bounds, in (ic, ky, kx) order.
+func (t *convTile) clipped(oy, ox int, bias [4]float32) (a0, a1, a2, a3 float32) {
+	a0, a1, a2, a3 = bias[0], bias[1], bias[2], bias[3]
+	iy, ix := oy*t.st-t.pad, ox*t.st-t.pad
+	ky0, ky1 := max(0, -iy), min(t.k, t.h-iy)
+	kx0, kx1 := max(0, -ix), min(t.k, t.w-ix)
+	if ky0 >= ky1 || kx0 >= kx1 {
+		return
+	}
+	for ic := 0; ic < t.inC; ic++ {
+		for ky := ky0; ky < ky1; ky++ {
+			r := ic*t.h*t.w + (iy+ky)*t.w + ix
+			p := (ic*t.k + ky) * t.k
+			ts := t.taps[p+kx0 : p+kx1]
+			for i, u := range t.x[r+kx0 : r+kx1] {
+				w := &ts[i].w
+				a0 += u * w[0]
+				a1 += u * w[1]
+				a2 += u * w[2]
+				a3 += u * w[3]
+			}
+		}
+	}
+	return
+}
+
+// put stores one output pixel's lanes, a plane apart, keeping only the
+// block's real channels.
+func put(o []float32, plane, lanes int, a0, a1, a2, a3 float32) {
+	o[0] = a0
+	if lanes > 1 {
+		o[plane] = a1
+	}
+	if lanes > 2 {
+		o[2*plane] = a2
+	}
+	if lanes > 3 {
+		o[3*plane] = a3
+	}
 }
 
 // Dense is a fully-connected layer. Input feature maps are flattened.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,8 +9,7 @@ import (
 	"fpgauv/internal/tensor"
 )
 
-// convDirect is the direct convolution formula — the seven-deep loop
-// Conv2D.Forward ran before it walked output rows — kept as the oracle:
+// convDirect is the direct convolution formula, kept as the oracle:
 // each output starts at the bias and adds its in-bounds taps in
 // (ic, ky, kx) order.
 func convDirect(c *Conv2D, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -73,38 +73,45 @@ func sameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 	}
 }
 
-// TestConvRowWalkMatchesDirect holds the row walk to the direct formula
-// bit for bit over kernel 1–7 × stride 1–4 (stride above kernel
-// included) × pad 0…k (pad at and above kernel included), on 1×1,
-// square and non-square inputs, with one output channel's bias -0 (pad
-// ≥ kernel leaves border outputs no tap reaches, which must stay -0).
-func TestConvRowWalkMatchesDirect(t *testing.T) {
+// TestConvMatchesDirect holds Forward to the direct formula bit for
+// bit over kernel 1–7 × stride 1–4 (stride above kernel included) ×
+// pad 0…k (pad at and above kernel included) × 1–9 output channels
+// (full and ragged four-channel blocks), on 1×1, square and non-square
+// inputs, with the first and last output channel's bias -0 (pad ≥
+// kernel leaves border outputs no tap reaches, which must stay -0).
+func TestConvMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	inputs := [][2]int{{1, 1}, {1, 7}, {7, 1}, {5, 9}, {9, 5}, {8, 8}, {13, 11}}
+	negZero := float32(math.Copysign(0, -1))
 	checked := 0
 	for k := 1; k <= 7; k++ {
 		for st := 1; st <= 4; st++ {
 			for pad := 0; pad <= k; pad++ {
-				c := NewConv2D(rng, 2, 3, k, st, pad)
-				c.Bias = []float32{float32(math.Copysign(0, -1)), 0.25, -1.5}
-				for _, hw := range inputs {
-					x := tensor.New(2, hw[0], hw[1])
-					x.FillRandn(rng, 1)
-					want, werr := convDirect(c, x)
-					got, gerr := c.Forward([]*tensor.Tensor{x})
-					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("k%d s%d p%d %v: error %v, oracle %v", k, st, pad, hw, gerr, werr)
+				for outC := 1; outC <= 9; outC++ {
+					c := NewConv2D(rng, 2, outC, k, st, pad)
+					for i := range c.Bias {
+						c.Bias[i] = float32(i%3) - 0.75
 					}
-					if werr != nil {
-						continue
+					c.Bias[0], c.Bias[outC-1] = negZero, negZero
+					for _, hw := range inputs {
+						x := tensor.New(2, hw[0], hw[1])
+						x.FillRandn(rng, 1)
+						want, werr := convDirect(c, x)
+						got, gerr := c.Forward([]*tensor.Tensor{x})
+						if (werr == nil) != (gerr == nil) {
+							t.Fatalf("k%d s%d p%d o%d %v: error %v, oracle %v", k, st, pad, outC, hw, gerr, werr)
+						}
+						if werr != nil {
+							continue
+						}
+						sameBits(t, "conv", got, want)
+						checked++
 					}
-					sameBits(t, "conv", got, want)
-					checked++
 				}
 			}
 		}
 	}
-	if checked < 500 {
+	if checked < 4500 {
 		t.Fatalf("only %d configurations produced an output", checked)
 	}
 }
@@ -130,4 +137,63 @@ func TestConvRejectsNonPositiveStride(t *testing.T) {
 			t.Fatalf("kernel %d stride %d: Forward accepted", c.Kernel, c.Stride)
 		}
 	}
+}
+
+// FuzzConvForward holds Forward to the direct formula bit for bit on
+// fuzzed geometry — 1–6 input and 1–9 output channels (full and ragged
+// four-channel blocks), kernel 1–7, stride 1–4, pad 0…k+1, a 1–12 ×
+// 1–12 input — and on raw float32 bit patterns for the input, weights
+// and bias, so -0, subnormals and sums that overflow occur. A pattern
+// with an all-ones exponent is made finite by clearing its top exponent
+// bit; every NaN an overflow then makes is the default one, so the
+// comparison stays bitwise.
+func FuzzConvForward(f *testing.F) {
+	// The seed corpus proper is testdata/fuzz/FuzzConvForward.
+	f.Add(uint8(2), uint8(5), uint8(2), uint8(0), uint8(1), uint8(7), uint8(6), []byte("\x00\x00\x80\xbf\x01\x00\x00\x00\x00\x00\x00\x80"))
+	f.Fuzz(func(t *testing.T, inRaw, outRaw, kRaw, stRaw, padRaw, hRaw, wRaw uint8, raw []byte) {
+		inC, outC := 1+int(inRaw)%6, 1+int(outRaw)%9
+		k, st := 1+int(kRaw)%7, 1+int(stRaw)%4
+		pad := int(padRaw) % (k + 2)
+		h, w := 1+int(hRaw)%12, 1+int(wRaw)%12
+		if len(raw) == 0 {
+			raw = []byte{0}
+		}
+		next := 0
+		value := func() float32 {
+			var b uint32
+			for i := 0; i < 4; i++ {
+				b |= uint32(raw[next%len(raw)]) << (8 * i)
+				next++
+			}
+			if b&0x7f800000 == 0x7f800000 {
+				b &^= 0x40000000
+			}
+			return math.Float32frombits(b)
+		}
+		c := &Conv2D{
+			InC: inC, OutC: outC, Kernel: k, Stride: st, Pad: pad,
+			Weights: tensor.New(outC, inC, k, k),
+			Bias:    make([]float32, outC),
+		}
+		wd := c.Weights.Data()
+		for i := range wd {
+			wd[i] = value()
+		}
+		for i := range c.Bias {
+			c.Bias[i] = value()
+		}
+		x := tensor.New(inC, h, w)
+		xd := x.Data()
+		for i := range xd {
+			xd[i] = value()
+		}
+		want, werr := convDirect(c, x)
+		got, gerr := c.Forward([]*tensor.Tensor{x})
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("in%d out%d k%d s%d p%d %dx%d: error %v, oracle %v", inC, outC, k, st, pad, h, w, gerr, werr)
+		}
+		if werr == nil {
+			sameBits(t, fmt.Sprintf("in%d out%d k%d s%d p%d %dx%d", inC, outC, k, st, pad, h, w), got, want)
+		}
+	})
 }

@@ -10,10 +10,10 @@ import (
 	"fpgauv/internal/tensor"
 )
 
-// TestConvRowWalkMatchesDirectOnZoo runs every conv shape the five
-// benchmarks deploy, at both presets, on the activations that really
-// reach it, and holds the row walk to the direct formula bit for bit.
-func TestConvRowWalkMatchesDirectOnZoo(t *testing.T) {
+// TestConvMatchesDirectOnZoo runs every conv shape the five benchmarks
+// deploy, at both presets, on the activations that really reach it, and
+// holds Forward to the direct formula bit for bit.
+func TestConvMatchesDirectOnZoo(t *testing.T) {
 	for _, preset := range []models.Preset{models.Tiny, models.Small} {
 		for _, b := range models.All(preset) {
 			img := b.MakeDataset(1, 5).Inputs[0]

@@ -216,19 +216,35 @@ func (g *Graph) ForwardAll(input *tensor.Tensor) ([]*tensor.Tensor, error) {
 // is the lowest-index failure, as that loop would report it.
 func (g *Graph) ForwardEach(inputs []*tensor.Tensor, each func(i int, outs []*tensor.Tensor)) error {
 	errs := make([]error, len(inputs))
+	Parallel(len(inputs), func(i int) {
+		outs, err := g.ForwardAll(inputs[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		each(i, outs)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Parallel calls f(i) once for every i in [0, n), each index claimed
+// from a shared cursor by at most min(GOMAXPROCS, n) goroutines, the
+// caller among them, and returns when every call has. f may only write
+// state owned by index i.
+func Parallel(n int, f func(i int)) {
 	var next atomic.Int64
 	work := func() {
-		for i := int(next.Add(1) - 1); i < len(inputs); i = int(next.Add(1) - 1) {
-			outs, err := g.ForwardAll(inputs[i])
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			each(i, outs)
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(inputs)); w++ {
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -237,12 +253,6 @@ func (g *Graph) ForwardEach(inputs []*tensor.Tensor, each func(i int, outs []*te
 	}
 	work()
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Validate re-checks all node shapes; useful after mutating weights in
