@@ -47,7 +47,9 @@
 // /v1/fleet/* endpoints then accept ?pool=P to scope one pool.
 //
 // With -debug-addr set, net/http/pprof is served on that separate
-// listener under /debug/pprof/ — keep it off public interfaces.
+// listener under /debug/pprof/ — keep it off public interfaces. Both
+// listeners drop a client that stalls its headers, its body or an idle
+// connection; a CPU profile or trace may run for up to 60 s.
 package main
 
 import (
@@ -65,17 +67,37 @@ import (
 	"fpgauv"
 )
 
-// Connection deadlines of the serving listener. A client gets this long
-// to send its headers and its body (the largest legal one is ~100 KB),
-// a request this long from its last header byte to its last response
-// byte — queueing behind a saturated fleet included — and an idle
-// keep-alive connection this long before it is closed.
-const (
-	readHeaderTimeout = 5 * time.Second
-	readTimeout       = 15 * time.Second
-	writeTimeout      = 60 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
+// deadlines are a listener's connection timeouts.
+type deadlines struct {
+	readHeader, read, write, idle time.Duration
+}
+
+// serveDeadlines hold on both listeners. A client gets this long to send
+// its headers and its body (the largest legal one is ~100 KB), a request
+// this long from its last header byte to its last response byte —
+// queueing behind a saturated fleet, or a pprof profile of up to 60 s,
+// included — and an idle keep-alive connection this long before it is
+// closed.
+var serveDeadlines = deadlines{
+	readHeader: 5 * time.Second,
+	read:       15 * time.Second,
+	write:      60 * time.Second,
+	idle:       2 * time.Minute,
+}
+
+// newHTTPServer builds each of the command's listeners, the API and the
+// pprof one alike, so neither can be held open by a client that trickles
+// its headers or body or parks an idle connection.
+func newHTTPServer(addr string, h http.Handler, d deadlines) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: d.readHeader,
+		ReadTimeout:       d.read,
+		WriteTimeout:      d.write,
+		IdleTimeout:       d.idle,
+	}
+}
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
@@ -216,18 +238,11 @@ func main() {
 			BurnThreshold:      *sloBurnThreshold,
 		},
 	})
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       idleTimeout,
-	}
+	httpSrv := newHTTPServer(*addr, srv.Handler(), serveDeadlines)
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: fpgauv.DebugHandler()}
+		debugSrv = newHTTPServer(*debugAddr, fpgauv.DebugHandler(), serveDeadlines)
 		go func() {
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Error("debug listener failed", "addr", *debugAddr, "err", err)

@@ -156,9 +156,10 @@ var (
 // order with any JSON whitespace. It only ever accepts. ok is false for
 // anything else: string escapes, null, duplicate or unknown keys, both
 // image forms, a wrong pixel count, a number outside the JSON grammar or
-// the float32 range, a non-finite pixel, bytes after the object. Numbers
-// are converted by the call encoding/json makes, strconv.ParseFloat at
-// 32 bits, so pixels are bit-identical to the reference decoder's.
+// the float32 range, a non-finite pixel, bytes after the object. Each
+// pixel is read by cursor.pixel, whose result is strconv.ParseFloat at
+// 32 bits — the call encoding/json makes — so pixels are bit-identical
+// to the reference decoder's.
 func (bb *bodyBuf) scan(want int) (pixels []float32, seed int64, ok bool) {
 	c := cursor{b: bb.body.Bytes()}
 	if !c.eat('{') {
@@ -179,15 +180,11 @@ func (bb *bodyBuf) scan(want int) (pixels []float32, seed int64, ok bool) {
 					return nil, 0, false
 				}
 				c.ws()
-				tok := c.number()
-				if tok == nil {
+				f, ok := c.pixel()
+				if !ok {
 					return nil, 0, false
 				}
-				f, err := strconv.ParseFloat(string(tok), 32)
-				if err != nil {
-					return nil, 0, false
-				}
-				pixels[k] = float32(f)
+				pixels[k] = f
 			}
 			if !c.eat(']') { // also where a value too many is refused
 				return nil, 0, false
@@ -226,7 +223,7 @@ func (bb *bodyBuf) scan(want int) (pixels []float32, seed int64, ok bool) {
 				return nil, 0, false
 			}
 			c.ws()
-			tok := c.number()
+			tok, _ := c.number()
 			if tok == nil {
 				return nil, 0, false
 			}
@@ -274,45 +271,125 @@ func (c *cursor) eat(ch byte) bool {
 	return false
 }
 
+// decimal is a JSON number's value as mant×10^exp10, read while its
+// grammar is checked. many marks more than 19 mantissa digits, leading
+// zeros included: mant may have wrapped.
+type decimal struct {
+	mant  uint64
+	exp10 int
+	neg   bool
+	many  bool
+}
+
 // number consumes the longest prefix that is a number in the JSON
 // grammar — -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — and returns
-// it, or nil if there is none. strconv alone would also take "+1", ".5",
-// "1_0", "0x1p-2" and "Inf". A valid prefix of an invalid literal ("01")
-// is returned too; the caller finds the leftover where a delimiter
-// belongs.
-func (c *cursor) number() []byte {
+// it with its decimal value, or nil if there is none. strconv alone would
+// also take "+1", ".5", "1_0", "0x1p-2" and "Inf". Of an invalid literal
+// the valid prefix is taken ("0" of "01", "1" of "1." and "1e"); the
+// caller finds the leftover where a delimiter belongs.
+func (c *cursor) number() ([]byte, decimal) {
 	b, i := c.b, c.i
-	digits := func() bool {
-		from := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var mant uint64
+	from := i
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' < 9:
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
 		}
-		return i > from
+	default:
+		return nil, decimal{}
 	}
-	if i < len(b) && b[i] == '-' {
+	nd, exp10 := i-from, 0
+	if i+1 < len(b) && b[i] == '.' && b[i+1]-'0' < 10 {
 		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return nil
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			return nil
+		from = i
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
 		}
+		nd += i - from
+		exp10 = from - i
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
+	if i+1 < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j, sign := i+1, 1
+		if b[j] == '+' || b[j] == '-' {
+			if b[j] == '-' {
+				sign = -1
+			}
+			j++
 		}
-		if !digits() {
-			return nil
+		if j < len(b) && b[j]-'0' < 10 {
+			e := 0
+			for ; j < len(b) && b[j]-'0' < 10; j++ {
+				if e < 1e4 { // far past any float32, and no overflow
+					e = e*10 + int(b[j]-'0')
+				}
+			}
+			exp10 += sign * e
+			i = j
 		}
 	}
 	tok := b[c.i:i]
 	c.i = i
-	return tok
+	return tok, decimal{mant: mant, exp10: exp10, neg: neg, many: nd > 19}
 }
+
+// pixel consumes the JSON number at the cursor and returns its value as
+// strconv.ParseFloat(tok, 32) does; ok is false, and nothing is consumed,
+// when there is no number or ParseFloat refuses it (out of float32
+// range). The decimal's fast path answers most pixels; strconv gets the
+// same token bytes for the rest.
+func (c *cursor) pixel() (float32, bool) {
+	from := c.i
+	tok, d := c.number()
+	if tok == nil {
+		return 0, false
+	}
+	if f, ok := d.float32(); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(tok), 32)
+	if err != nil {
+		c.i = from
+		return 0, false
+	}
+	return float32(f), true
+}
+
+// float32 is Clinger's fast path. A mantissa below 2^53 and |exp10| <= 22
+// are both exact float64s, so one multiply or divide gives the correctly
+// rounded float64 of the decimal, and its magnitude lies in
+// [1e-22, 2^53·1e22], inside the normal float32 range. float32() of that
+// float64 is then the correctly rounded float32 as well, unless the
+// float64 is itself a float32 rounding midpoint: every float32 midpoint is
+// a float64, so one lying strictly between the decimal and its float64
+// rounding would be a nearer float64. ok is false for a midpoint — its 29
+// low fraction bits read 1 then 28 zeros — and for any other decimal:
+// zero, more than 19 digits, a mantissa of 2^53 or more, |exp10| > 22.
+func (d decimal) float32() (float32, bool) {
+	if d.many || d.mant == 0 || d.mant >= 1<<53 || d.exp10 < -22 || d.exp10 > 22 {
+		return 0, false
+	}
+	f := float64(d.mant)
+	if d.exp10 < 0 {
+		f /= pow10[-d.exp10]
+	} else {
+		f *= pow10[d.exp10]
+	}
+	if math.Float64bits(f)&(1<<29-1) == 1<<28 {
+		return 0, false
+	}
+	if d.neg {
+		f = -f
+	}
+	return float32(f), true
+}
+
+// pow10 holds the powers of ten that are exact float64s.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,6 +65,10 @@ var inferBodySeeds = []string{
 	` { "seed" : -12 , "pixels" : [ -0 , 0.0 ] } `,
 	"{\n\t\"pixels\": [\n\t\t1.17549435e-38,\n\t\t3.4028235e38\n\t]\n}\r\n",
 	`{"pixels":[1e-50,123456789012345678901234567890e-25]}`,
+	// float32 midpoints, exact and one float64 away; long mantissas.
+	`{"pixels":[16777217,1.000000536441803]}`,
+	`{"pixels":[1.000000059604644775390625,-5.000002202146923e+25]}`,
+	`{"pixels":[12345678901234567890,0.00000000000000000000123456789012345678901]}`,
 	`{"image_b64":"AACAPwAAAMA="}`,
 	`{"seed":9,"image_b64":"AACAPwAAAMA="}`,
 	// Numbers strconv would take and JSON does not, and the reverse.
@@ -93,14 +99,14 @@ func TestInferBodySeedsMatchReference(t *testing.T) {
 	for _, body := range inferBodySeeds {
 		decodeBoth(t, []byte(body), 2)
 	}
-	for i, body := range inferBodySeeds[:7] {
+	for i, body := range inferBodySeeds[:10] {
 		var bb bodyBuf
 		bb.body.WriteString(body)
 		if _, _, ok := bb.scan(2); !ok {
 			t.Errorf("canonical body %d %q fell back to encoding/json", i, body)
 		}
 	}
-	px, err := decodeBoth(t, []byte(inferBodySeeds[5]), 2)
+	px, err := decodeBoth(t, []byte(inferBodySeeds[8]), 2)
 	if err != nil || px[0] != 1 || px[1] != -2 {
 		t.Errorf("base64 body decoded to %v, %v; want [1 -2]", px, err)
 	}
@@ -209,4 +215,219 @@ func TestInferBodyNonFinite(t *testing.T) {
 			t.Errorf("pixels value %s accepted", text)
 		}
 	}
+}
+
+// pixelRows are single JSON numbers around every edge of cursor.pixel:
+// the value encoding/json gives them, or refused.
+var pixelRows = []struct {
+	text    string
+	want    float32
+	refused bool
+}{
+	// Exact float32 midpoints round to even, on strconv's path.
+	{text: "16777217", want: 16777216},
+	{text: "16777219", want: 16777220},
+	{text: "1.000000059604644775390625", want: 1},
+	{text: "1.000000178813934326171875", want: 1.0000002},
+	// Decimals whose float64 is a float32 midpoint, within the fast path's
+	// bounds: float32(float64) would round them to even, wrongly.
+	{text: "1.000000536441803", want: 1.0000006},
+	{text: "3.141590714454651", want: 3.1415908},
+	{text: "1.000000350177288e-01", want: 0.10000003},
+	{text: "1.000000679747854e+20", want: 1.0000006e20},
+	{text: "-5.000002202146923e+25", want: -5.0000024e25},
+	{text: "1.000000355057853e+30", want: 1.0000004e30},
+	// The top of the range: MaxFloat32, a value above it that rounds to
+	// it, and the midpoint to 2^128, the first value that overflows.
+	{text: "3.4028235e38", want: math.MaxFloat32},
+	{text: "-3.4028234663852886e+38", want: -math.MaxFloat32},
+	{text: "340282356779733661637539395458142568447", want: math.MaxFloat32},
+	{text: "340282356779733661637539395458142568448", refused: true},
+	{text: "3.4028236e38", refused: true},
+	{text: "-1e39", refused: true},
+	// The bottom: the smallest normal, subnormals, and underflow to zero.
+	{text: "1.17549435e-38", want: 0x1p-126},
+	{text: "1.1754942e-38", want: math.Float32frombits(0x007fffff)},
+	{text: "5.877472e-39", want: 0x1p-127},
+	{text: "1e-45", want: math.SmallestNonzeroFloat32},
+	{text: "7.1e-46", want: math.SmallestNonzeroFloat32},
+	{text: "7e-46", want: 0},
+	{text: "-1e-50", want: float32(math.Copysign(0, -1))},
+	// 16- to 20-digit mantissas around 2^53 and the 19-digit cut.
+	{text: "9007199254740991", want: 9007199254740992},
+	{text: "9007199254740993", want: 9007199254740992},
+	{text: "1234567890123456789", want: 1234567890123456789},
+	{text: "12345678901234567890", want: 12345678901234567890},
+	{text: "18446744073709551617", want: 18446744073709551617}, // 2^64+1 wraps a uint64 to 1
+	{text: "0.1234567890123456789", want: 0.1234567890123456789},
+	{text: "1.0000000596046447753906250001", want: 1.0000001},
+	// Exponents at and past the exact powers of ten.
+	{text: "1e22", want: 1e22},
+	{text: "1E+22", want: 1e22},
+	{text: "1e23", want: 1e23},
+	{text: "1e-22", want: 1e-22},
+	{text: "1.5e-22", want: 1.5e-22},
+	{text: "1e-23", want: 1e-23},
+	{text: "123e-25", want: 123e-25},
+	// Zeros and spellings JSON allows.
+	{text: "-0", want: float32(math.Copysign(0, -1))},
+	{text: "0", want: 0},
+	{text: "0e5", want: 0},
+	{text: "-0.000e-7", want: float32(math.Copysign(0, -1))},
+	{text: "1E+2", want: 100},
+	{text: "1e0002", want: 100},
+	// Spellings strconv or a careless scanner would take and JSON does not.
+	{text: "01", refused: true},
+	{text: "1.", refused: true},
+	{text: ".5", refused: true},
+	{text: "-", refused: true},
+	{text: "1e", refused: true},
+	{text: "1e+", refused: true},
+	{text: "+1", refused: true},
+	{text: "NaN", refused: true},
+	{text: "Inf", refused: true},
+	{text: "1_0", refused: true},
+	{text: "0x1p-2", refused: true},
+}
+
+// Every pixelRows number, as the one pixel of a body, decodes to its
+// value bit for bit and exactly as encoding/json decodes it; a number JSON
+// allows in float32 range is read by the scanner itself.
+func TestPixelNumberExactness(t *testing.T) {
+	for _, row := range pixelRows {
+		body := []byte(`{"pixels":[` + row.text + `]}`)
+		got, err := decodeBoth(t, body, 1)
+		if row.refused {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", row.text, got[0])
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", row.text, err)
+			continue
+		}
+		if math.Float32bits(got[0]) != math.Float32bits(row.want) {
+			t.Errorf("%s: decoded %v (%#x), want %v (%#x)", row.text, got[0],
+				math.Float32bits(got[0]), row.want, math.Float32bits(row.want))
+		}
+		var bb bodyBuf
+		bb.body.Write(body)
+		if _, _, ok := bb.scan(1); !ok {
+			t.Errorf("%s: fell back to encoding/json", row.text)
+		}
+	}
+}
+
+// The near-midpoint rows and the exact midpoint 2^24+1 are inside the
+// fast path's bounds, so its midpoint test is what sends them to strconv;
+// the exact powers of ten and the harness's spellings are answered by the
+// fast path itself.
+func TestPixelFastPathReach(t *testing.T) {
+	for _, tc := range []struct {
+		text         string
+		bounds, fast bool
+	}{
+		{"1.000000536441803", true, false}, {"-5.000002202146923e+25", true, false},
+		{"1.000000355057853e+30", true, false}, {"16777217", true, false},
+		{"1e22", true, true}, {"1e-22", true, true}, {"-0.3", true, true}, {"1.2345679e-05", true, true},
+		{"1e23", false, false}, {"1e-23", false, false}, {"9007199254740993", false, false},
+		{"1234567890123456789", false, false}, {"-0", false, false},
+	} {
+		c := cursor{b: []byte(tc.text)}
+		tok, d := c.number()
+		if string(tok) != tc.text {
+			t.Fatalf("%s: number took %q", tc.text, tok)
+		}
+		bounds := !d.many && d.mant != 0 && d.mant < 1<<53 && d.exp10 >= -22 && d.exp10 <= 22
+		if bounds != tc.bounds {
+			t.Errorf("%s: within the fast path's bounds = %v, want %v (%+v)", tc.text, bounds, tc.bounds, d)
+		}
+		if _, ok := d.float32(); ok != tc.fast {
+			t.Errorf("%s: fast path ok = %v, want %v", tc.text, ok, tc.fast)
+		}
+	}
+}
+
+// A grid of 10^6 float32s in the harness's spelling — shortest-form
+// decimals — comes back bit for bit through the scanner: half stride over
+// every finite bit pattern, half are N(0,1) pixels like the benchmark's.
+func TestPixelGridRoundTrip(t *testing.T) {
+	const n, image = 1_000_000, 3 * 32 * 32
+	rng := rand.New(rand.NewSource(1))
+	grid := make([]float32, n)
+	for i := range grid {
+		if i%2 == 0 {
+			u := uint32(i/2) * 8589 // 500k steps across 2^32 bit patterns
+			if u&0x7f800000 == 0x7f800000 {
+				u &^= 0x00800000 // keep the value finite
+			}
+			grid[i] = math.Float32frombits(u)
+		} else {
+			grid[i] = float32(rng.NormFloat64())
+		}
+	}
+	for from := 0; from < n; from += image {
+		pixels := grid[from:min(from+image, n)]
+		body := pixelsBody(pixels)
+		var bb bodyBuf
+		bb.body.Write(body)
+		if _, _, ok := bb.scan(len(pixels)); !ok {
+			t.Fatalf("grid body at %d fell back to encoding/json", from)
+		}
+		got, err := decodeBoth(t, body, len(pixels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range pixels {
+			if math.Float32bits(got[i]) != math.Float32bits(v) {
+				t.Fatalf("grid value %d: sent %#x, decoded %#x", from+i,
+					math.Float32bits(v), math.Float32bits(got[i]))
+			}
+		}
+	}
+}
+
+// jsonNumber is the JSON number grammar, anchored; its longest match is
+// the prefix cursor.pixel must consume.
+var jsonNumber = func() *regexp.Regexp {
+	re := regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+	re.Longest()
+	return re
+}()
+
+// FuzzPixelNumber: on any bytes, cursor.pixel either declines and
+// consumes nothing, or consumes exactly the longest JSON-number prefix
+// and returns strconv.ParseFloat's float32 of it — declining exactly when
+// there is no such prefix or strconv refuses it.
+func FuzzPixelNumber(f *testing.F) {
+	for _, row := range pixelRows {
+		f.Add([]byte(row.text))
+	}
+	f.Add([]byte("1.5,2"))
+	f.Add([]byte("-0.25]"))
+	f.Add([]byte("7e-3 "))
+	f.Fuzz(func(t *testing.T, tok []byte) {
+		c := cursor{b: tok}
+		got, ok := c.pixel()
+		prefix := jsonNumber.Find(tok)
+		var ref float64
+		err := strconv.ErrSyntax
+		if prefix != nil {
+			ref, err = strconv.ParseFloat(string(prefix), 32)
+		}
+		switch {
+		case err != nil:
+			if ok || c.i != 0 {
+				t.Fatalf("%q: took %q as %v; strconv refuses %q (%v)", tok, tok[:c.i], got, prefix, err)
+			}
+		case !ok:
+			t.Fatalf("%q: declined; strconv reads %q as %v", tok, prefix, float32(ref))
+		case c.i != len(prefix):
+			t.Fatalf("%q: consumed %q, want %q", tok, tok[:c.i], prefix)
+		case math.Float32bits(got) != math.Float32bits(float32(ref)):
+			t.Fatalf("%q: %v (%#x), strconv has %v (%#x)", tok, got, math.Float32bits(got),
+				float32(ref), math.Float32bits(float32(ref)))
+		}
+	})
 }
