@@ -14,9 +14,32 @@ import (
 	"fpgauv"
 )
 
+// bigBody is far more than the loopback socket buffers hold, so writing
+// it to a client that reads nothing blocks the server.
+const bigBody = 64 << 20
+
+// withBigResponse serves bigBody bytes on /big next to h, and sends on
+// cut how long the handler wrote before a write failed.
+func withBigResponse(h http.Handler, cut chan<- time.Duration) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	mux.HandleFunc("/big", func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		chunk := make([]byte, 64<<10)
+		for n := 0; n < bigBody; n += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				cut <- time.Since(start)
+				return
+			}
+		}
+	})
+	return mux
+}
+
 // Both listeners drop a client that trickles its headers (slowloris),
-// one that trickles its body, and an idle keep-alive connection, each
-// once its deadline has passed — while serving a well-behaved request.
+// one that trickles its body, an idle keep-alive connection, and one
+// that never reads its response, each once its deadline has passed —
+// while serving a well-behaved request.
 func TestListenersDropSlowClients(t *testing.T) {
 	// Distinct deadlines, so each drop shows which one fired: without
 	// ReadHeaderTimeout or IdleTimeout, net/http falls back to ReadTimeout.
@@ -40,7 +63,8 @@ func TestListenersDropSlowClients(t *testing.T) {
 		{"debug", fpgauv.DebugHandler(), "/debug/pprof/cmdline"},
 	} {
 		t.Run(l.name, func(t *testing.T) {
-			srv := newHTTPServer("", l.h, d)
+			cut := make(chan time.Duration, 1)
+			srv := newHTTPServer("", withBigResponse(l.h, cut), d)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -79,8 +103,47 @@ func TestListenersDropSlowClients(t *testing.T) {
 					t.Errorf("%s: dropped after %v, want [%v, %v)", c.name, took, c.after, c.before)
 				}
 			}
+
+			// The write deadline is counted from the end of the request
+			// headers, so the blocked write fails just short of it.
+			got := unreadBytes(t, addr, d.write+300*time.Millisecond)
+			select {
+			case took := <-cut:
+				if took < d.write-100*time.Millisecond || took >= d.write+time.Second {
+					t.Errorf("unread response: write failed after %v, want about %v", took, d.write)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("unread response: the write never failed")
+			}
+			if got >= bigBody {
+				t.Errorf("unread response: %d bytes arrived, want the response cut short of %d", got, bigBody)
+			}
 		})
 	}
+}
+
+// unreadBytes asks addr for /big and reads nothing for wait; then it
+// drains the connection and returns how many bytes arrived before the
+// server closed it, failing the test if it stays open.
+func unreadBytes(t *testing.T, addr string, wait time.Duration) int64 {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /big HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(wait)
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("unread response: connection still open after %d bytes", n)
+	}
+	return n
 }
 
 // dropTime connects to addr, writes prefix, then writes drip every 20 ms

@@ -1,42 +1,10 @@
 package dnndk
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"testing"
 
-	"fpgauv/internal/dpu"
 	"fpgauv/internal/models"
 )
-
-// kernelFingerprint hashes everything calibration and weight
-// quantization decide: the input scale, every node's activation,
-// accumulator and weight scale bits, and every WQ and bias byte.
-func kernelFingerprint(k *dpu.Kernel) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b[:4], v)
-		_, _ = h.Write(b[:4])
-	}
-	put32(math.Float32bits(k.InScale))
-	for _, kn := range k.Nodes {
-		put32(math.Float32bits(kn.OutScale))
-		put32(math.Float32bits(kn.AccScale))
-		if kn.WQ == nil {
-			continue
-		}
-		put32(math.Float32bits(kn.WQ.Scale))
-		for _, v := range kn.WQ.Data {
-			_, _ = h.Write([]byte{byte(v)})
-		}
-		for _, v := range kn.BiasQ {
-			put32(uint32(v))
-		}
-	}
-	return h.Sum64()
-}
 
 // TestDeployGoldenFingerprints pins calibration output bit for bit:
 // recorded at PR 16 (before the float reference conv became a row walk

@@ -224,12 +224,13 @@ func TestTraceBytesVGGNet(t *testing.T) {
 
 // TestUnloadDropsReferenceRuns is the crash/recover leak regression: the
 // crash protocol reboots, unloads and reloads the kernel and re-plants
-// labels, which traces the dataset again under the new task's key. The
-// old task's entry must go with it, so the cache stays one entry deep
-// however often the board crashes.
+// labels. Unload releases the old task's reference, the reload takes a
+// new one, and the store stays one entry deep, held once, however often
+// the board crashes.
 func TestUnloadDropsReferenceRuns(t *testing.T) {
 	rt, task, ds := replayRig(t, "AlexNet", false, 4)
 	bench, _ := models.New("AlexNet", models.Tiny)
+	key := task.refKey(ds)
 	for crash := 0; crash < 5; crash++ {
 		setVCCINT(t, rt, 500)
 		if _, err := task.Classify(ds, rand.New(rand.NewSource(1))); !errors.Is(err, board.ErrHung) {
@@ -239,6 +240,9 @@ func TestUnloadDropsReferenceRuns(t *testing.T) {
 		if err := task.Unload(); err != nil {
 			t.Fatal(err)
 		}
+		if n := storeRefs(key); n != 0 {
+			t.Fatalf("after unload %d: entry still holds %d references", crash+1, n)
+		}
 		next, err := rt.LoadKernel(task.Kernel)
 		if err != nil {
 			t.Fatal(err)
@@ -247,8 +251,11 @@ func TestUnloadDropsReferenceRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		task = next
-		if n := len(rt.refCache); n != 1 {
-			t.Fatalf("after crash %d: %d reference entries, want 1", crash+1, n)
+		if next.refKey(ds) != key {
+			t.Fatalf("after crash %d: the reloaded kernel keys differently", crash+1)
+		}
+		if n := storeRefs(key); n != 1 {
+			t.Fatalf("after crash %d: %d references, want 1", crash+1, n)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package dnndk
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"runtime"
 
 	"fpgauv/internal/board"
 	"fpgauv/internal/dpu"
@@ -13,16 +13,14 @@ import (
 )
 
 // Runtime is the N2Cube-style host runtime: it owns the DPU cores on a
-// board, stages kernel weights in DDR, runs classification tasks, and
-// caches fault-free reference runs (the basis of the planted-label
-// accuracy protocol, and what faulty passes replay).
+// board, stages kernel weights in DDR and runs classification tasks. Its
+// tasks share fault-free reference runs (the basis of the planted-label
+// accuracy protocol, and what faulty passes replay) through the
+// process-wide trace store.
 type Runtime struct {
-	brd *board.ZCU102
-	dp  *dpu.DPU
-	// refCache maps kernel+dataset identity to the pair's reference run:
-	// each image's trace, which carries its fault-free prediction.
-	refCache map[string][]*dpu.Trace
-	loads    int
+	brd   *board.ZCU102
+	dp    *dpu.DPU
+	loads int
 }
 
 // NewRuntime programs nCores B4096 cores (the paper's baseline is 3) and
@@ -39,7 +37,7 @@ func NewRuntimeConfig(brd *board.ZCU102, cfg dpu.Config, nCores int) (*Runtime, 
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{brd: brd, dp: dp, refCache: make(map[string][]*dpu.Trace)}, nil
+	return &Runtime{brd: brd, dp: dp}, nil
 }
 
 // Board returns the underlying board.
@@ -48,11 +46,17 @@ func (r *Runtime) Board() *board.ZCU102 { return r.brd }
 // DPU returns the programmed accelerator.
 func (r *Runtime) DPU() *dpu.DPU { return r.dp }
 
-// Task is a loaded kernel ready to classify.
+// Task is a loaded kernel ready to classify. Like its runtime, a task is
+// confined to one goroutine at a time.
 type Task struct {
 	rt     *Runtime
 	Kernel *dpu.Kernel
 	ddrKey string
+	// golden is the kernel half of the task's store keys; held lists
+	// the store entries the task has read (written under the store's
+	// lock).
+	golden traceKey
+	held   []*traceEntry
 }
 
 // LoadKernel validates the kernel, stages its weights in DDR and installs
@@ -61,6 +65,7 @@ func (r *Runtime) LoadKernel(k *dpu.Kernel) (*Task, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
+	golden := traceKey{kernel: k.Name, backend: k.BackendName(), bits: k.Bits, kernelFP: kernelFingerprint(k)}
 	r.loads++
 	key := fmt.Sprintf("%s#%d@%d", k.Name, k.Bits, r.loads)
 	size := int(k.Program.WeightBytes)
@@ -95,18 +100,16 @@ func (r *Runtime) LoadKernel(k *dpu.Kernel) (*Task, error) {
 		off += len(chunk)
 	}
 	r.brd.SetWorkload(k.Workload)
-	return &Task{rt: r, Kernel: k, ddrKey: key}, nil
+	t := &Task{rt: r, Kernel: k, ddrKey: key, golden: golden}
+	// A task dropped without Unload still lets go of its golden runs.
+	runtime.SetFinalizer(t, (*Task).release)
+	return t, nil
 }
 
-// Unload frees the task's DDR staging area and drops its reference
-// runs: a reload is a new task under new keys (the crash protocol
-// reloads on every crash), so nothing would read them again.
+// Unload frees the task's DDR staging area and releases its references
+// to golden runs; the last task to release one frees it.
 func (t *Task) Unload() error {
-	for key := range t.rt.refCache {
-		if strings.HasPrefix(key, t.ddrKey+"/") {
-			delete(t.rt.refCache, key)
-		}
-	}
+	t.release()
 	return t.rt.brd.DDR().Free(t.ddrKey)
 }
 
@@ -148,16 +151,9 @@ func (t *Task) InferBatch(s *dpu.Scratch, imgs []*tensor.Tensor, rngs []*rand.Ra
 	return t.rt.dp.RunBatch(s, t.Kernel, imgs, rngs, nil)
 }
 
-// refKey identifies a kernel+dataset pair for the reference cache. The
-// dataset part is its content fingerprint, never its address: a freed
-// dataset and a new one allocated at the same address must not alias
-// cache entries (and a re-made identical dataset may share them).
-func (t *Task) refKey(ds *models.Dataset) string {
-	return fmt.Sprintf("%s/%s#%d:%016x", t.ddrKey, ds.Name, ds.Len(), ds.Fingerprint())
-}
-
 // ReferencePreds returns the kernel's fault-free predictions on the
-// dataset (computed and cached on first use; the slice is the caller's).
+// dataset (read from the golden run in the trace store, recorded on first
+// use; the slice is the caller's).
 // These are the predictions used to plant ground-truth labels at the
 // Table 1 accuracy.
 func (t *Task) ReferencePreds(ds *models.Dataset) ([]int, error) {
@@ -170,30 +166,6 @@ func (t *Task) ReferencePreds(ds *models.Dataset) ([]int, error) {
 		preds[i] = tr.Pred()
 	}
 	return preds, nil
-}
-
-// reference returns the kernel's golden run on the dataset, tracing it
-// on first use on the batched executor, micro-batch by micro-batch.
-func (t *Task) reference(ds *models.Dataset) ([]*dpu.Trace, error) {
-	key := t.refKey(ds)
-	if traces, ok := t.rt.refCache[key]; ok {
-		return traces, nil
-	}
-	traces := make([]*dpu.Trace, 0, ds.Len())
-	scratch := dpu.NewScratch() // one arena for the whole reference pass
-	for lo := 0; lo < ds.Len(); lo += MicroBatch {
-		hi := lo + MicroBatch
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		batch, err := t.rt.dp.TraceBatch(scratch, t.Kernel, ds.Inputs[lo:hi])
-		if err != nil {
-			return nil, fmt.Errorf("dnndk: reference inference: %w", err)
-		}
-		traces = append(traces, batch...)
-	}
-	t.rt.refCache[key] = traces
-	return traces, nil
 }
 
 // PlantLabels plants the dataset's ground-truth labels so the fault-free

@@ -43,14 +43,14 @@ func TestRefKeyIsContentDerived(t *testing.T) {
 	a := bench.MakeDataset(8, 1)
 	b := bench.MakeDataset(8, 2) // same name, same length, different content
 	if ka, kb := task.refKey(a), task.refKey(b); ka == kb {
-		t.Fatalf("distinct-content datasets share cache key %q", ka)
+		t.Fatalf("distinct-content datasets share store key %+v", ka)
 	}
 	remade := bench.MakeDataset(8, 1)
 	if remade == a {
 		t.Fatal("test needs two distinct allocations")
 	}
 	if ka, kr := task.refKey(a), task.refKey(remade); ka != kr {
-		t.Fatalf("identical datasets key differently: %q vs %q", ka, kr)
+		t.Fatalf("identical datasets key differently: %+v vs %+v", ka, kr)
 	}
 
 	// Behavioral check: predictions cached for A must not be served for

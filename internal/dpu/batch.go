@@ -167,10 +167,9 @@ func (l *lazySource) apply() {
 // injection applies flips to the shared weight tensors, so concurrent
 // calls on the same kernel would observe each other's flips. Every
 // execution path in this module already serializes per kernel (the
-// fleet's member lock; the single-goroutine campaigns and runtimes,
-// whose reference cache has the same confinement rule). Within one pass
-// the lanes do share the kernel across goroutines — that is
-// safe because the flips are applied before the lanes start and the
+// fleet's member lock; the single-goroutine campaigns and runtimes).
+// Within one pass the lanes do share the kernel across goroutines — that
+// is safe because the flips are applied before the lanes start and the
 // weights are immutable while they run.
 //
 // traces, when non-nil, are the images' golden runs (TraceBatch): image
@@ -269,7 +268,7 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	// the shared weight tensors are immutable while the batch runs.
 	var batchFlips int64
 	var batchECC ecc.Counts
-	if pBRAM > 0 {
+	if pBRAM > 0 || (rngs != nil && forced.Load() != nil) {
 		batchFlips, batchECC = d.flipBatchWeights(ba, k, pBRAM, rngs[0])
 		traces = nil
 	}

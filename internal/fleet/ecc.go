@@ -155,6 +155,9 @@ type BoardECCStatus struct {
 	ScrubReloaded  int64 `json:"scrub_reloaded"`
 	// Words is the protected image size in 64-bit words.
 	Words int64 `json:"words"`
+	// Reruns counts served passes discarded and run again on a fresh
+	// fault draw because SECDED flagged an uncorrectable word in them.
+	Reruns int64 `json:"reruns"`
 }
 
 // ECCStatus is the pool-wide protection snapshot.
@@ -179,6 +182,7 @@ func (m *member) boardECCStatus() *BoardECCStatus {
 		ScrubCorrected: corrected,
 		ScrubReloaded:  reloaded,
 		Words:          m.scrub.Words(),
+		Reruns:         m.eccReruns.Load(),
 	}
 }
 

@@ -251,3 +251,25 @@ func TestECCToggleAndScrubInterval(t *testing.T) {
 		t.Fatalf("scrub interval %v ms, want 123", got)
 	}
 }
+
+// TestUncorrectableRerunOrdinalsAreFresh: rerun 0 is the attempt itself,
+// and every rerun of every attempt on every visit draws from an ordinal
+// no other pass of the job uses.
+func TestUncorrectableRerunOrdinalsAreFresh(t *testing.T) {
+	seen := make(map[int64]bool)
+	for visit := int64(1); visit <= 3; visit++ {
+		for attempt := int64(0); attempt < 2; attempt++ {
+			ord := (visit-1)*2 + attempt
+			if rerunOrdinal(ord, 0) != ord {
+				t.Fatalf("rerun 0 of ordinal %d draws from %d", ord, rerunOrdinal(ord, 0))
+			}
+			for k := 0; k <= maxECCReruns; k++ {
+				o := rerunOrdinal(ord, k)
+				if seen[o] {
+					t.Fatalf("visit %d attempt %d rerun %d reuses ordinal %d", visit, attempt, k, o)
+				}
+				seen[o] = true
+			}
+		}
+	}
+}

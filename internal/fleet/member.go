@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -26,7 +27,7 @@ const (
 // member is one board of the pool: a ZCU102 sample with its DNNDK
 // runtime, loaded kernel and evaluation dataset. All accelerator
 // operations (classify, recover, voltage changes) happen under mu, so the
-// unlocked dnndk reference cache is confined to one goroutine at a time.
+// runtime and its task are confined to one goroutine at a time.
 type member struct {
 	mu sync.Mutex
 
@@ -70,6 +71,9 @@ type member struct {
 	// detected+silent words under ECC) that force a VCCBRAM climb.
 	servedFaults atomic.Int64
 	servedBRAM   atomic.Int64
+	// eccReruns counts served passes run again because SECDED flagged
+	// an uncorrectable word in them.
+	eccReruns atomic.Int64
 
 	// prot is this board's BRAM SECDED policy (installed on the DPU at
 	// assembly; per-board so corrected/uncorrectable counters stay
@@ -318,15 +322,18 @@ func (m *member) recover() error {
 
 	m.brd.Reboot()
 	m.event(obs.EvReboot, m.brd.VCCINTmV(), "power-on reset complete; rails at nominal")
-	if m.task != nil {
-		_ = m.task.Unload()
-	}
+	// The old task is unloaded after the new one has re-planted, so the
+	// golden run it holds is read from the trace store, not recorded
+	// again, even on a board that is the store entry's only holder.
 	task, err := m.rt.LoadKernel(m.kernel)
 	if err != nil {
 		return fmt.Errorf("fleet: %s: re-deploy: %w", m.id, err)
 	}
 	if err := task.PlantLabels(m.ds, m.bench.TargetAccPct, dnndk.LabelSeed(m.seed)); err != nil {
 		return fmt.Errorf("fleet: %s: re-plant: %w", m.id, err)
+	}
+	if m.task != nil {
+		_ = m.task.Unload()
 	}
 	m.task = task
 	m.redeploy.Add(1)
@@ -356,10 +363,38 @@ func (m *member) noteServedFaults(mac, bram int64, c ecc.Counts) {
 	} else {
 		m.servedBRAM.Add(bram)
 	}
-	if c.Detected > 0 {
+}
+
+// maxECCReruns bounds how often one served pass is run again after
+// SECDED flagged an uncorrectable word in it.
+const maxECCReruns = 3
+
+// errUncorrectable fails a job whose pass SECDED flagged on every rerun.
+var errUncorrectable = errors.New("fleet: uncorrectable BRAM words in every rerun of a served pass")
+
+// rerunOrdinal is the fault-stream ordinal of rerun k of the pass whose
+// attempt ordinal is ord. Reruns set the high word, so a rerun never
+// replays a crash retry's or another visit's stream, and rerun 0 is the
+// attempt itself.
+func rerunOrdinal(ord int64, k int) int64 { return ord | int64(k)<<32 }
+
+// rejectFlagged handles a served pass whose SECDED counts carry a
+// detected word. The decoder's flag is visible to the host
+// (ecc/protection.go), so the pass's answer is discarded, never
+// returned; its fault signals still reach the governor. It counts and
+// journals rerun k, or fails the attempt once k passes maxECCReruns (the
+// job may then move to another board).
+func (m *member) rejectFlagged(mac, bram int64, c ecc.Counts, k int) error {
+	m.noteServedFaults(mac, bram, c)
+	if k > maxECCReruns {
 		m.event(obs.EvECCUncorrectable, m.brd.VCCBRAMmV(),
-			fmt.Sprintf("%d uncorrectable words in served traffic", c.Detected))
+			fmt.Sprintf("%d uncorrectable words in a served pass; giving up on this board after %d reruns", c.Detected, maxECCReruns))
+		return errUncorrectable
 	}
+	m.eccReruns.Add(1)
+	m.event(obs.EvECCUncorrectable, m.brd.VCCBRAMmV(),
+		fmt.Sprintf("%d uncorrectable words in a served pass; rerun %d of %d on a fresh fault draw", c.Detected, k, maxECCReruns))
+	return nil
 }
 
 // stateName renders the member state for status reports.

@@ -196,8 +196,9 @@ type Result struct {
 	// the guardband).
 	MACFaults  int64 `json:"mac_faults"`
 	BRAMFaults int64 `json:"bram_faults"`
-	// ECC is the pass's SECDED outcome split (all-zero when protection
-	// is disabled).
+	// ECC is the served pass's SECDED outcome split (all-zero when
+	// protection is disabled). Its Detected is always zero: a flagged
+	// pass is rerun, and its words count only in the board's status.
 	ECC ecc.Counts `json:"ecc"`
 	// Attempts is how many board visits the request needed (>1 means a
 	// crash/reboot cycle happened underneath it).
@@ -240,8 +241,9 @@ type InferResult struct {
 	// the job (zero inside the guardband).
 	MACFaults  int64 `json:"mac_faults"`
 	BRAMFaults int64 `json:"bram_faults"`
-	// ECC is the job's SECDED outcome split (all-zero when protection
-	// is disabled).
+	// ECC is the job's SECDED outcome split over its served passes
+	// (all-zero when protection is disabled; Detected, as in Result,
+	// always zero).
 	ECC ecc.Counts `json:"ecc"`
 	// Attempts is how many board visits the job needed (>1 means a
 	// crash/reboot cycle happened underneath it).
@@ -639,6 +641,58 @@ func classifyRNG(seed, attempt int64) *rand.Rand {
 	return rand.New(rand.NewSource(s))
 }
 
+// passSignals is one served pass's fault signals: what its execute span
+// reports and the governor reads.
+type passSignals struct {
+	mac, bram int64
+	ecc       ecc.Counts
+	execNS    int64
+}
+
+// execute runs one attempt of a served pass under an execute span: run
+// performs the pass on a fault-stream ordinal (an armed chaos failure
+// fails it as a crash does instead). A pass that SECDED flags is
+// rejected and run again on the attempt's next rerun ordinal, each
+// rerun under its own span.
+func (m *member) execute(j *job, ordinal int64, images, batch int, run func(ord int64) (passSignals, error)) (passSignals, error) {
+	for k := 0; ; k++ {
+		exec := j.span.Child(obs.StageExecute)
+		if exec != nil {
+			exec.Board = m.id
+			exec.Attempt = int32(ordinal)
+			exec.Images = int32(images)
+			exec.Batch = int32(batch)
+			exec.VCCINTmV = m.brd.VCCINTmV()
+			exec.VCCBRAMmV = m.brd.VCCBRAMmV()
+		}
+		sig, err := passSignals{}, board.ErrHung
+		if !m.takeInjectedFailure() {
+			sig, err = run(rerunOrdinal(ordinal, k))
+		}
+		flagged := err == nil && sig.ecc.Detected > 0
+		if exec != nil {
+			exec.MACFaults = sig.mac
+			exec.BRAMFaults = sig.bram
+			exec.ECCCorrected = sig.ecc.Corrected
+			exec.ECCDetected = sig.ecc.Detected
+			exec.ECCSilent = sig.ecc.Silent
+			exec.ExecNS = sig.execNS
+			if err != nil {
+				exec.Err = err.Error()
+			} else if flagged {
+				exec.Err = fmt.Sprintf("%d uncorrectable BRAM words; answer discarded", sig.ecc.Detected)
+			}
+		}
+		exec.End()
+		if !flagged {
+			return sig, err
+		}
+		if err := m.rejectFlagged(sig.mac, sig.bram, sig.ecc, k+1); err != nil {
+			return passSignals{}, err
+		}
+	}
+}
+
 // serveOn runs one job on one board, transparently recovering from a
 // crash (reboot → re-deploy → restore voltage → retry once).
 func (p *Pool) serveOn(m *member, j *job) (Result, error) {
@@ -657,34 +711,17 @@ func (p *Pool) serveOn(m *member, j *job) (Result, error) {
 		// Global attempt ordinal across board visits: each visit gets
 		// at most two tries (initial + one local post-crash retry).
 		ordinal := int64(j.attempts-1)*2 + int64(attempt)
-		exec := j.span.Child(obs.StageExecute)
-		if exec != nil {
-			exec.Board = m.id
-			exec.Attempt = int32(ordinal)
-			exec.Images = int32(m.ds.Len())
-			exec.Batch = int32(m.ds.Len())
-			exec.VCCINTmV = m.brd.VCCINTmV()
-			exec.VCCBRAMmV = m.brd.VCCBRAMmV()
-		}
 		var cr *dnndk.ClassifyResult
-		var err error
-		if m.takeInjectedFailure() {
-			err = board.ErrHung
-		} else {
-			cr, err = m.task.ClassifyWith(m.scratch, m.ds, classifyRNG(j.req.Seed, ordinal))
-		}
-		if err == nil {
-			if exec != nil {
-				exec.MACFaults = cr.MACFaults
-				exec.BRAMFaults = cr.BRAMFaults
-				exec.ECCCorrected = cr.ECC.Corrected
-				exec.ECCDetected = cr.ECC.Detected
-				exec.ECCSilent = cr.ECC.Silent
-				exec.ExecNS = cr.ExecNS
+		sig, err := m.execute(j, ordinal, m.ds.Len(), m.ds.Len(), func(ord int64) (passSignals, error) {
+			var err error
+			if cr, err = m.task.ClassifyWith(m.scratch, m.ds, classifyRNG(j.req.Seed, ord)); err != nil {
+				return passSignals{}, err
 			}
-			exec.End()
+			return passSignals{mac: cr.MACFaults, bram: cr.BRAMFaults, ecc: cr.ECC, execNS: cr.ExecNS}, nil
+		})
+		if err == nil {
 			m.served.Add(1)
-			m.noteServedFaults(cr.MACFaults, cr.BRAMFaults, cr.ECC)
+			m.noteServedFaults(sig.mac, sig.bram, sig.ecc)
 			return Result{
 				Board:       m.id,
 				VCCINTmV:    m.brd.VCCINTmV(),
@@ -696,10 +733,6 @@ func (p *Pool) serveOn(m *member, j *job) (Result, error) {
 				Attempts:    j.attempts,
 			}, nil
 		}
-		if exec != nil {
-			exec.Err = err.Error()
-		}
-		exec.End()
 		if !errors.Is(err, board.ErrHung) || attempt >= 1 {
 			return Result{}, err
 		}
@@ -760,59 +793,39 @@ func (p *Pool) serveInferOn(m *member, j *job) (InferResult, error) {
 			// Global attempt ordinal across board visits: each visit gets
 			// at most two tries (initial + one local post-crash retry).
 			ordinal := int64(j.attempts-1)*2 + int64(attempt)
-			exec := j.span.Child(obs.StageExecute)
-			if exec != nil {
-				exec.Board = m.id
-				exec.Attempt = int32(ordinal)
-				exec.Batch = int32(hi - lo)
-				exec.VCCINTmV = m.brd.VCCINTmV()
-				exec.VCCBRAMmV = m.brd.VCCBRAMmV()
-			}
 			var results []dpu.Result
-			var err error
-			if m.takeInjectedFailure() {
-				err = board.ErrHung
-			} else {
+			sig, err := m.execute(j, ordinal, 0, hi-lo, func(ord int64) (passSignals, error) {
 				rngs := m.scratch.BatchRNGs(hi - lo)
 				for i := range rngs {
-					rngs[i].Seed(inferSeed(j.inf.Seed, lo+i, ordinal))
+					rngs[i].Seed(inferSeed(j.inf.Seed, lo+i, ord))
 				}
-				results, err = m.task.InferBatch(m.scratch, imgs[lo:hi], rngs)
-			}
+				var err error
+				if results, err = m.task.InferBatch(m.scratch, imgs[lo:hi], rngs); err != nil {
+					return passSignals{}, err
+				}
+				// Every image of a micro-batch carries the batch's shared
+				// outcome split and pass time; count each once.
+				sig := passSignals{ecc: results[0].ECC, execNS: results[0].ExecNS}
+				for i := range results {
+					sig.mac += results[i].MACFaults
+					sig.bram += results[i].BRAMFaults
+				}
+				return sig, nil
+			})
 			if err == nil {
-				var mb, bb int64
 				for i := range results {
 					out := &j.outs[lo+i]
 					out.Pred = results[i].Pred
 					out.Probs = append(out.Probs[:0], results[i].Probs.Data()...)
-					mb += results[i].MACFaults
-					bb += results[i].BRAMFaults
 				}
-				j.macF += mb
-				j.bramF += bb
-				if len(results) > 0 {
-					// Every image of a micro-batch carries the batch's
-					// shared outcome split; count each event once.
-					j.eccC.Add(results[0].ECC)
-					if exec != nil {
-						exec.MACFaults = mb
-						exec.BRAMFaults = bb
-						exec.ECCCorrected = results[0].ECC.Corrected
-						exec.ECCDetected = results[0].ECC.Detected
-						exec.ECCSilent = results[0].ECC.Silent
-						exec.ExecNS = results[0].ExecNS
-					}
-				}
-				exec.End()
+				j.macF += sig.mac
+				j.bramF += sig.bram
+				j.eccC.Add(sig.ecc)
 				j.microBatches++
 				p.microBatches.Add(1)
 				j.completed = hi
 				break
 			}
-			if exec != nil {
-				exec.Err = err.Error()
-			}
-			exec.End()
 			if !errors.Is(err, board.ErrHung) || attempt >= 1 {
 				return InferResult{}, err
 			}
@@ -997,8 +1010,9 @@ func (p *Pool) ReleaseTemperature(idx int) error {
 }
 
 // Close stops admission, drains every queued request, waits for the
-// workers and monitor to exit, and returns the boards to nominal rails.
-// It is idempotent.
+// workers and monitor to exit, returns the boards to nominal rails and
+// unloads their kernels, which releases their golden runs. It is
+// idempotent.
 func (p *Pool) Close() {
 	p.closed.Do(func() {
 		p.closing.Store(true)
@@ -1013,6 +1027,7 @@ func (p *Pool) Close() {
 			m.mu.Lock()
 			_ = m.setVCCINT(silicon.VnomMV)
 			_ = m.setVCCBRAM(silicon.VnomMV)
+			_ = m.task.Unload()
 			m.mu.Unlock()
 		}
 	})

@@ -68,8 +68,8 @@ func NewDataset(name string, classes int, shape nn.Shape, n int, seed int64) *Da
 func (d *Dataset) Len() int { return len(d.Inputs) }
 
 // Fingerprint returns a content hash of the dataset's identity: name,
-// sample count and every input's float bit pattern. Runtime caches key on
-// it instead of the dataset's address — a pointer key silently aliases a
+// sample count and every input's float bit pattern. The trace store keys
+// on it instead of the dataset's address — a pointer key silently aliases a
 // freed dataset with a new one allocated at the same address. The hash is
 // memoized; like every other Dataset operation it must be confined to one
 // goroutine at a time.
