@@ -10,17 +10,3 @@ func storeRefs(key traceKey) int {
 	}
 	return 0
 }
-
-// TraceStoreHeld reports how many trace-store entries key on a dataset
-// with content fingerprint dsFP, and the references they hold in all.
-func TraceStoreHeld(dsFP uint64) (entries, refs int) {
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	for key, e := range store.entries {
-		if key.dsFP == dsFP {
-			entries++
-			refs += e.refs
-		}
-	}
-	return entries, refs
-}

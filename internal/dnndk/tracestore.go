@@ -123,6 +123,20 @@ func unref(e *traceEntry) {
 	}
 }
 
+// TraceStoreHeld reports how many store entries key on a dataset with
+// content fingerprint dsFP, and the references they hold in all.
+func TraceStoreHeld(dsFP uint64) (entries, refs int) {
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	for key, e := range store.entries {
+		if key.dsFP == dsFP {
+			entries++
+			refs += e.refs
+		}
+	}
+	return entries, refs
+}
+
 // kernelFingerprint is the 64-bit FNV-1a hash of everything calibration
 // and weight quantization decide: the input scale, every node's
 // activation, accumulator and weight scale bits, and every WQ and bias

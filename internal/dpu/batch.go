@@ -268,7 +268,7 @@ func (d *DPU) runBatch(s *Scratch, k *Kernel, imgs []*tensor.Tensor, rngs []*ran
 	// the shared weight tensors are immutable while the batch runs.
 	var batchFlips int64
 	var batchECC ecc.Counts
-	if pBRAM > 0 || (rngs != nil && forced.Load() != nil) {
+	if pBRAM > 0 {
 		batchFlips, batchECC = d.flipBatchWeights(ba, k, pBRAM, rngs[0])
 		traces = nil
 	}

@@ -2,7 +2,6 @@ package dpu
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"fpgauv/internal/ecc"
 	"fpgauv/internal/fabric"
@@ -21,30 +20,6 @@ import (
 // decoder resolves them. Observable corruption is written in place and
 // recorded byte-wise so the pass's restore can undo it.
 
-// forced is the test hook that puts an uncorrectable or aliasing word
-// into chosen passes, at any rail: while it is set, each protected layer
-// draw gains its double- and multi-bit words, until its count of layers
-// runs out and the last one clears it.
-var forced atomic.Pointer[forcedFaults]
-
-type forcedFaults struct {
-	words  fabric.WordFaults
-	layers atomic.Int64
-}
-
-// ForceWordFaults is a test hook: it adds doubles double-bit and multis
-// three-bit words to each of the next layers protected layer draws of
-// any pass in the process, whatever the rail; layers <= 0 clears it.
-func ForceWordFaults(doubles, multis, layers int64) {
-	if layers <= 0 {
-		forced.Store(nil)
-		return
-	}
-	f := &forcedFaults{words: fabric.WordFaults{Doubles: doubles, Multis: multis}}
-	f.layers.Store(layers)
-	forced.Store(f)
-}
-
 // applyProtectedFaults corrupts one weight tensor through the SECDED
 // policy. record is called once per changed byte with its
 // pre-corruption value, in write order; undoing the writes in reverse
@@ -53,7 +28,7 @@ func ForceWordFaults(doubles, multis, layers int64) {
 // rate, identical in expectation to the unprotected path) and the
 // outcome split.
 func applyProtectedFaults(prot *ecc.Protection, w *quant.QTensor, pBit float64, rng *rand.Rand, record func(idx int32, old int8)) (raw int64, counts ecc.Counts) {
-	if len(w.Data) == 0 {
+	if pBit <= 0 || len(w.Data) == 0 {
 		return 0, counts
 	}
 	words := (len(w.Data) + 7) / 8
@@ -62,16 +37,6 @@ func applyProtectedFaults(prot *ecc.Protection, w *quant.QTensor, pBit float64, 
 		bitsPerWord = ecc.WordBits
 	}
 	wf := fabric.SampleWordFaults(rng, int64(words), bitsPerWord, pBit)
-	if f := forced.Load(); f != nil {
-		n := f.layers.Add(-1)
-		if n >= 0 {
-			wf.Doubles += f.words.Doubles
-			wf.Multis += f.words.Multis
-		}
-		if n <= 0 {
-			forced.CompareAndSwap(f, nil)
-		}
-	}
 
 	apply := func(events int64, flips int) {
 		var chosen [3]int

@@ -124,32 +124,54 @@ func TestPoolCrashRecoveryNoLostWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const requests = 120
-	var wg sync.WaitGroup
 	var failures atomic.Int64
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := p.Classify(context.Background(), Request{})
-			if err != nil {
-				failures.Add(1)
-				t.Errorf("classify: %v", err)
-				return
-			}
-			if res.AccuracyPct <= 0 {
-				failures.Add(1)
-				t.Errorf("classify on %s: accuracy %.1f%%", res.Board, res.AccuracyPct)
-			}
-		}()
+	burst := func(n int) {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := p.Classify(context.Background(), Request{})
+				if err != nil {
+					failures.Add(1)
+					t.Errorf("classify: %v", err)
+					return
+				}
+				if res.AccuracyPct <= 0 {
+					failures.Add(1)
+					t.Errorf("classify on %s: accuracy %.1f%%", res.Board, res.AccuracyPct)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	idle := func() (n int) {
+		for _, b := range p.Status().Boards {
+			if b.Served == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	requests := 120
+	burst(requests)
+	// Healed peers serve a fault-free request in microseconds, so the
+	// shared queue can starve one board of the first wave entirely. With
+	// the monitor off only a request heals it: follow-up bursts, bounded,
+	// until every board has served one.
+	for round := 0; idle() > 0; round++ {
+		if round == 50 {
+			t.Fatalf("%d boards served nothing after %d follow-up bursts", idle(), round)
+		}
+		burst(2 * cfg.Boards)
+		requests += 2 * cfg.Boards
+	}
 
 	st := p.Status()
 	if got := failures.Load(); got != 0 {
 		t.Fatalf("%d of %d requests lost", got, requests)
 	}
-	if st.Served != requests {
+	if st.Served != int64(requests) {
 		t.Errorf("served = %d, want %d", st.Served, requests)
 	}
 	if st.Crashes < 1 {
@@ -158,18 +180,7 @@ func TestPoolCrashRecoveryNoLostWork(t *testing.T) {
 	if st.Redeploys < 1 {
 		t.Errorf("redeploys = %d, want >= 1 (crashed board was not re-deployed)", st.Redeploys)
 	}
-	// Every board that picked up a request crashed on it, was
-	// re-deployed and is back at its operating point. With the monitor
-	// off, a board the shared queue never handed a request (its peers,
-	// once healed, serve a fault-free request in microseconds) is still
-	// undetected at the rail the test set.
 	for _, b := range st.Boards {
-		if b.Served == 0 {
-			if b.Crashes != 0 || !nearMV(b.VCCINTmV, 500) {
-				t.Errorf("%s served nothing, yet reports %d crashes at VCCINT %.1f mV", b.Board, b.Crashes, b.VCCINTmV)
-			}
-			continue
-		}
 		if b.Crashes < 1 || b.Redeploys < 1 {
 			t.Errorf("%s: served %d requests with %d crashes and %d redeploys, want the first to crash and re-deploy",
 				b.Board, b.Served, b.Crashes, b.Redeploys)

@@ -1,11 +1,10 @@
-package dnndk_test
+package fleet
 
 import (
 	"context"
 	"testing"
 
 	"fpgauv/internal/dnndk"
-	"fpgauv/internal/fleet"
 	"fpgauv/internal/models"
 )
 
@@ -14,7 +13,7 @@ import (
 // Crash/recover cycles swap a board's task without growing the store,
 // and closing the pool, which unloads every task, empties it.
 func TestTraceStorePoolLifetime(t *testing.T) {
-	cfg := fleet.Config{Boards: 2, Benchmark: "VGGNet", Tiny: true, Images: 12, Seed: 4242, CharRepeats: 1, MonitorInterval: -1}
+	cfg := Config{Boards: 2, Benchmark: "VGGNet", Tiny: true, Images: 12, Seed: 4242, CharRepeats: 1, MonitorInterval: -1}
 	bench, _ := models.New(cfg.Benchmark, models.Tiny)
 	fp := bench.MakeDataset(cfg.Images, cfg.Seed).Fingerprint()
 	held := func(at string, entries, refs int) {
@@ -24,11 +23,7 @@ func TestTraceStorePoolLifetime(t *testing.T) {
 		}
 	}
 	held("before the pool", 0, 0)
-	p, err := fleet.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := newTestPool(t, cfg)
 	held("after bring-up", 1, 2)
 
 	// Each job fails once as a crash does on whichever board takes it,
@@ -38,7 +33,7 @@ func TestTraceStorePoolLifetime(t *testing.T) {
 		if err := p.InjectFailures(-1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Classify(context.Background(), fleet.Request{Seed: cycle}); err != nil {
+		if _, err := p.Classify(context.Background(), Request{Seed: cycle}); err != nil {
 			t.Fatal(err)
 		}
 		if got := p.Status().Redeploys; got != cycle {

@@ -6,21 +6,40 @@ import (
 	"strings"
 	"testing"
 
-	"fpgauv/internal/dpu"
+	"fpgauv/internal/ecc"
 	"fpgauv/internal/models"
 	"fpgauv/internal/obs"
 )
 
+// VCCBRAM levels, well below BRAM Vmin (560 mV), at which SECDED sees
+// real double-bit words on the one-board VGGNet pool below. Measured over
+// 300 four-image jobs each: at 505 mV about one pass in two is flagged
+// and none serves a silent word; at 504 mV about one job in 75 serves a
+// silent word; at 495 mV every pass carries tens of flagged words.
+const (
+	rerunBRAMmV  = 505
+	silentBRAMmV = 504
+	floodBRAMmV  = 495
+)
+
 // uncorrectablePool is one SECDED-protected board with every background
-// loop off, so the forced words land in the test's own passes.
+// loop (monitor, governor, scrubber) off, so the rails stay where the
+// test puts them and every flagged word comes from a served pass.
 func uncorrectablePool(t *testing.T) *Pool {
 	t.Helper()
-	cfg := testConfig(1)
-	cfg.MonitorInterval = -1
-	cfg.ECC = ECCConfig{Enabled: true, ScrubInterval: -1}
-	p := newTestPool(t, cfg)
-	t.Cleanup(func() { dpu.ForceWordFaults(0, 0, 0) })
-	return p
+	return newTestPool(t, eccTestConfig(1, true))
+}
+
+// setBRAM commands board 0's VCCBRAM rail.
+func setBRAM(t *testing.T, p *Pool, mv float64) {
+	t.Helper()
+	m := p.members[0]
+	m.mu.Lock()
+	err := m.setVCCBRAM(mv)
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func eccStatus(t *testing.T, p *Pool) *BoardECCStatus {
@@ -36,7 +55,7 @@ func eccStatus(t *testing.T, p *Pool) *BoardECCStatus {
 // contains s.
 func journaled(p *Pool, s string) int {
 	var n int
-	for _, ev := range p.Journal().Tail(1 << 10) {
+	for _, ev := range p.Journal().Tail(1 << 12) {
 		if ev.Kind == obs.EvECCUncorrectable && strings.Contains(ev.Detail, s) {
 			n++
 		}
@@ -44,67 +63,91 @@ func journaled(p *Pool, s string) int {
 	return n
 }
 
-// TestUncorrectableWordIsRerun forces one double-bit word into a served
-// pass on each serving path. SECDED flags it, so the pass is discarded
-// and run again on a fresh fault draw: the job returns the fault-free
-// oracle's answer and no detected word, and the board counts and
-// journals the rerun.
+// sameOutputs reports whether two answers agree bit for bit.
+func sameOutputs(a, b []InferOutput) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Pred != b[i].Pred || len(a[i].Probs) != len(b[i].Probs) {
+			return false
+		}
+		for c := range a[i].Probs {
+			if math.Float32bits(a[i].Probs[c]) != math.Float32bits(b[i].Probs[c]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestUncorrectableWordIsRerun lowers VCCBRAM until SECDED flags real
+// double-bit words in served passes, on each serving path. A flagged
+// pass is discarded and run again on a fresh fault draw, so every job
+// returns no detected word, and a job without a silent word returns the
+// fault-free oracle's answer (corrected words are invisible and the
+// VCCINT rail is inside the guardband). The board counts and journals
+// each rerun.
 func TestUncorrectableWordIsRerun(t *testing.T) {
 	p := uncorrectablePool(t)
 	ctx := context.Background()
 	bench, _ := models.New("VGGNet", models.Tiny)
-	req := InferRequest{Images: bench.MakeDataset(16, 9).Inputs, Seed: 5}
-	oracle, err := p.Infer(ctx, req)
+	imgs := bench.MakeDataset(4, 9).Inputs
+	oracle, err := p.Infer(ctx, InferRequest{Images: imgs, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oracle.MACFaults != 0 || oracle.ECC.Total() != 0 {
-		t.Fatalf("the oracle pass saw faults: MAC %d, ECC %+v", oracle.MACFaults, oracle.ECC)
+	oracleEval, err := p.Classify(ctx, Request{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.MACFaults != 0 || oracle.ECC.Total() != 0 || oracleEval.ECC.Total() != 0 {
+		t.Fatalf("the oracle passes saw faults: MAC %d, ECC %+v and %+v", oracle.MACFaults, oracle.ECC, oracleEval.ECC)
 	}
 
-	dpu.ForceWordFaults(1, 0, 1)
-	got, err := p.Infer(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	setBRAM(t, p, rerunBRAMmV)
+	paths := []struct {
+		name  string
+		serve func(seed int64) (c ecc.Counts, asOracle bool, err error)
+	}{
+		{"infer", func(seed int64) (ecc.Counts, bool, error) {
+			res, err := p.Infer(ctx, InferRequest{Images: imgs, Seed: seed})
+			return res.ECC, sameOutputs(res.Outputs, oracle.Outputs), err
+		}},
+		{"evaluation", func(seed int64) (ecc.Counts, bool, error) {
+			res, err := p.Classify(ctx, Request{Seed: seed})
+			return res.ECC, res.AccuracyPct == oracleEval.AccuracyPct && res.MACFaults == 0, err
+		}},
 	}
-	if got.ECC.Detected != 0 {
-		t.Fatalf("a served answer carries %d detected words", got.ECC.Detected)
-	}
-	for i, out := range got.Outputs {
-		want := oracle.Outputs[i]
-		if out.Pred != want.Pred {
-			t.Fatalf("image %d: pred %d, oracle %d", i, out.Pred, want.Pred)
-		}
-		for c := range out.Probs {
-			if math.Float32bits(out.Probs[c]) != math.Float32bits(want.Probs[c]) {
-				t.Fatalf("image %d: probs[%d] %g, oracle %g", i, c, out.Probs[c], want.Probs[c])
+	const jobs = 40
+	for _, path := range paths {
+		var rerunJobs int
+		for seed := int64(1); seed <= jobs; seed++ {
+			before := eccStatus(t, p).Reruns
+			c, asOracle, err := path.serve(seed)
+			if err != nil {
+				t.Fatalf("%s job %d: %v", path.name, seed, err)
 			}
+			if c.Detected != 0 {
+				t.Fatalf("%s job %d: a served answer carries %d detected words", path.name, seed, c.Detected)
+			}
+			if c.Silent == 0 && !asOracle {
+				t.Fatalf("%s job %d (ECC %+v): the answer differs from the fault-free oracle", path.name, seed, c)
+			}
+			if eccStatus(t, p).Reruns > before {
+				rerunJobs++
+			}
+		}
+		if rerunJobs == 0 {
+			t.Fatalf("%s: no pass of %d jobs at %d mV VCCBRAM was flagged", path.name, jobs, rerunBRAMmV)
 		}
 	}
 	st := eccStatus(t, p)
-	if st.Reruns != 1 || st.Detected != 1 {
-		t.Fatalf("after the infer job: %d reruns and %d detected words, want 1 and 1", st.Reruns, st.Detected)
+	if st.Detected < st.Reruns {
+		t.Fatalf("%d reruns for %d detected words", st.Reruns, st.Detected)
 	}
-	if n := journaled(p, "rerun 1 of"); n != 1 {
-		t.Fatalf("%d journaled reruns, want 1", n)
-	}
-
-	// The evaluation path runs a pass only off the fault-free rails: one
-	// step below Vmin.
-	b := p.Status().Boards[0]
-	if err := p.SetVCCINTmV(0, b.VminMV-5); err != nil {
-		t.Fatal(err)
-	}
-	dpu.ForceWordFaults(1, 0, 1)
-	res, err := p.Classify(ctx, Request{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ECC.Detected != 0 {
-		t.Fatalf("a served evaluation carries %d detected words", res.ECC.Detected)
-	}
-	if st := eccStatus(t, p); st.Reruns != 2 || st.Detected != 2 {
-		t.Fatalf("after the evaluation: %d reruns and %d detected words, want 2 and 2", st.Reruns, st.Detected)
+	if n := journaled(p, "rerun "); int64(n) != st.Reruns {
+		t.Fatalf("%d journaled reruns, the board counted %d", n, st.Reruns)
 	}
 }
 
@@ -114,47 +157,56 @@ func TestUncorrectableWordIsRerun(t *testing.T) {
 func TestUncorrectableRerunsAreBounded(t *testing.T) {
 	p := uncorrectablePool(t)
 	bench, _ := models.New("VGGNet", models.Tiny)
-	dpu.ForceWordFaults(1, 0, 1<<40)
+	setBRAM(t, p, floodBRAMmV)
 	res, err := p.Infer(context.Background(), InferRequest{Images: bench.MakeDataset(4, 9).Inputs, Seed: 5})
-	dpu.ForceWordFaults(0, 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "uncorrectable") {
 		t.Fatalf("want an uncorrectable-word error, got %v (result %+v)", err, res)
 	}
 	st := eccStatus(t, p)
 	const visits = 3 // the default MaxAttempts: each visit fails and requeues the job
-	// Every layer of every pass carries a forced word: four passes per
-	// visit, three of them reruns.
-	if st.Reruns != 3*visits || st.Detected < 4*visits {
-		t.Fatalf("%d reruns and %d detected words over %d visits, want 3 reruns and at least 4 words per visit", st.Reruns, st.Detected, visits)
+	// Each visit runs the pass and its maxECCReruns reruns, all flagged.
+	if st.Reruns != maxECCReruns*visits || st.Detected < (maxECCReruns+1)*visits {
+		t.Fatalf("%d reruns and %d detected words over %d visits, want %d reruns and at least %d words per visit",
+			st.Reruns, st.Detected, visits, maxECCReruns, maxECCReruns+1)
 	}
 	if n := journaled(p, "giving up"); n != visits {
 		t.Fatalf("%d journaled give-ups, want one per visit (%d)", n, visits)
 	}
 }
 
-// TestUncorrectableSilentWordsStillCounted forces one three-bit word per
-// job until SECDED aliases one to a silent miscorrection. A silent word
-// is invisible to the host, so its pass is served, and the word is still
-// reported in the job's counts and the board's.
+// TestUncorrectableSilentWordsStillCounted runs jobs at a VCCBRAM where
+// SECDED now and then aliases a three-bit word to a silent
+// miscorrection. A silent word is invisible to the host, so its pass is
+// served; the word is still reported in the job's counts, the board's,
+// and the fault signal the governor reads.
 func TestUncorrectableSilentWordsStillCounted(t *testing.T) {
 	p := uncorrectablePool(t)
+	m := p.members[0]
 	bench, _ := models.New("VGGNet", models.Tiny)
-	req := InferRequest{Images: bench.MakeDataset(4, 9).Inputs, Seed: 5}
-	for try := 0; try < 40; try++ {
-		dpu.ForceWordFaults(0, 1, 1)
-		res, err := p.Infer(context.Background(), req)
+	imgs := bench.MakeDataset(4, 9).Inputs
+	setBRAM(t, p, silentBRAMmV)
+	const jobs = 400
+	for seed := int64(1); seed <= jobs; seed++ {
+		silentBefore, signalBefore := eccStatus(t, p).Silent, m.servedBRAM.Load()
+		res, err := p.Infer(context.Background(), InferRequest{Images: imgs, Seed: seed})
 		if err != nil {
-			t.Fatal(err)
+			// Four flagged passes in a row on every visit: rare here,
+			// and bounded by TestUncorrectableRerunsAreBounded.
+			continue
 		}
 		if res.ECC.Detected != 0 {
-			t.Fatalf("try %d: a served answer carries %d detected words", try, res.ECC.Detected)
+			t.Fatalf("job %d: a served answer carries %d detected words", seed, res.ECC.Detected)
 		}
-		if res.ECC.Silent > 0 {
-			if st := eccStatus(t, p); st.Silent != res.ECC.Silent {
-				t.Fatalf("the board counted %d silent words, the job %d", st.Silent, res.ECC.Silent)
-			}
-			return
+		if res.ECC.Silent == 0 {
+			continue
 		}
+		if got := eccStatus(t, p).Silent - silentBefore; got < res.ECC.Silent {
+			t.Fatalf("job %d served %d silent words, the board counted %d", seed, res.ECC.Silent, got)
+		}
+		if got := m.servedBRAM.Load() - signalBefore; got < res.ECC.Silent {
+			t.Fatalf("job %d served %d silent words, the governor's signal grew by %d", seed, res.ECC.Silent, got)
+		}
+		return
 	}
-	t.Fatal("40 forced three-bit words and none aliased silently")
+	t.Fatalf("%d jobs at %d mV VCCBRAM and none served a silent word", jobs, silentBRAMmV)
 }
