@@ -29,6 +29,8 @@ type DeployOptions struct {
 
 // Deployed bundles a benchmark compiled, loaded and labeled on a runtime.
 type Deployed struct {
+	// Bench is shared read-only by every deployment of the same
+	// benchmark, preset and quantize options (see kernelstore.go).
 	Bench *Benchmark
 	Task  *Task
 	Ds    *models.Dataset
@@ -58,10 +60,6 @@ func DeployBenchmark(rt *Runtime, benchmark string, opts DeployOptions) (*Deploy
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	bench, err := models.New(benchmark, preset)
-	if err != nil {
-		return nil, err
-	}
 	qopts := DefaultQuantizeOptions()
 	if opts.Bits != 0 {
 		qopts.Bits = opts.Bits
@@ -69,17 +67,30 @@ func DeployBenchmark(rt *Runtime, benchmark string, opts DeployOptions) (*Deploy
 	qopts.Sparsity = opts.Sparsity
 	qopts.PruneBlocks = opts.PruneBlocks
 	qopts.Backend = opts.Backend
-	k, err := Quantize(bench, qopts)
+	return Deploy(rt, benchmark, preset, qopts, opts.Images, opts.Seed)
+}
+
+// Deploy is DeployBenchmark with the preset and quantize options given
+// in full and no defaulting: it loads the benchmark compiled under qopts
+// (from the process-wide kernel store, compiled there on a miss) and
+// plants labels on an images-long dataset derived from seed.
+func Deploy(rt *Runtime, benchmark string, preset models.Preset, qopts QuantizeOptions, images int, seed int64) (*Deployed, error) {
+	key := compileKey{bench: benchmark, preset: preset, opts: qopts}
+	e, err := kernelStore.acquire(key, func() (compiled, error) { return compile(key) })
 	if err != nil {
 		return nil, err
 	}
-	task, err := rt.LoadKernel(k)
+	task, err := rt.LoadKernel(e.val.instance())
 	if err != nil {
+		e.release()
 		return nil, err
 	}
-	ds := bench.MakeDataset(opts.Images, opts.Seed)
-	if err := task.PlantLabels(ds, bench.TargetAccPct, LabelSeed(opts.Seed)); err != nil {
+	task.compiled = e
+	bench := e.val.bench
+	ds := bench.MakeDataset(images, seed)
+	if err := task.PlantLabels(ds, bench.TargetAccPct, LabelSeed(seed)); err != nil {
+		_ = task.Unload()
 		return nil, err
 	}
-	return &Deployed{Bench: bench, Task: task, Ds: ds, Seed: opts.Seed}, nil
+	return &Deployed{Bench: bench, Task: task, Ds: ds, Seed: seed}, nil
 }

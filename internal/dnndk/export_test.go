@@ -3,10 +3,6 @@ package dnndk
 // storeRefs reports the references the trace store holds on key's entry
 // (0: no entry).
 func storeRefs(key traceKey) int {
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	if e, ok := store.entries[key]; ok {
-		return e.refs
-	}
-	return 0
+	_, refs := traceStore.held(func(k traceKey) bool { return k == key })
+	return refs
 }

@@ -3,14 +3,17 @@ package dnndk
 import (
 	"testing"
 
+	"fpgauv/internal/board"
 	"fpgauv/internal/models"
 )
 
 // TestDeployGoldenFingerprints pins calibration output bit for bit:
-// recorded at PR 16 (before the float reference conv became a row walk
-// and the calibration forwards fanned out), one fingerprint per Tiny
-// benchmark dense and 50% block-pruned. Any drift in the float
-// accumulation order moves a max-abs, hence a scale, hence these.
+// one fingerprint per Tiny benchmark dense and 50% block-pruned, recorded
+// before the float reference conv became a row walk and the calibration
+// forwards fanned out. Any drift in the float accumulation order moves a
+// max-abs, hence a scale, hence these. A deployment through the kernel
+// store loads the same bytes, both when it compiles the kernel (a miss)
+// and when it copies the compiled entry (a hit).
 func TestDeployGoldenFingerprints(t *testing.T) {
 	golden := map[string][2]uint64{
 		"VGGNet":    {0x64e43fd926fd520e, 0x2c41debb9db0ee6e},
@@ -34,6 +37,29 @@ func TestDeployGoldenFingerprints(t *testing.T) {
 			}
 			if got, want := kernelFingerprint(k), golden[name][i]; got != want {
 				t.Errorf("%s sparsity %.1f: fingerprint %#016x, want %#016x", name, sparsity, got, want)
+			}
+
+			key := compileKey{bench: name, preset: models.Tiny, opts: opts}
+			if n := kernelRefs(key); n != 0 {
+				t.Fatalf("%s sparsity %.1f: %d store references before the first deploy", name, sparsity, n)
+			}
+			miss := deployKey(t, board.SampleA, key)
+			hit := deployKey(t, board.SampleB, key)
+			if hit.Bench != miss.Bench || kernelRefs(key) != 2 {
+				t.Fatalf("%s sparsity %.1f: the second deploy did not hit the store", name, sparsity)
+			}
+			for _, dep := range []struct {
+				kind string
+				*Deployed
+			}{{"miss", miss}, {"hit", hit}} {
+				got, want := kernelFingerprint(dep.Task.Kernel), golden[name][i]
+				if got != want || dep.Task.golden.kernelFP != want {
+					t.Errorf("%s sparsity %.1f store %s: fingerprint %#016x (trace key %#016x), want %#016x",
+						name, sparsity, dep.kind, got, dep.Task.golden.kernelFP, want)
+				}
+				if err := dep.Task.Unload(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

@@ -52,11 +52,13 @@ type Task struct {
 	rt     *Runtime
 	Kernel *dpu.Kernel
 	ddrKey string
-	// golden is the kernel half of the task's store keys; held lists
-	// the store entries the task has read (written under the store's
-	// lock).
-	golden traceKey
-	held   []*traceEntry
+	// golden is the kernel half of the task's trace-store keys; held
+	// lists the golden runs the task has read, and compiled is the
+	// kernel-store entry its kernel was copied from (nil for a kernel
+	// loaded by hand).
+	golden   traceKey
+	held     []*traceEntry
+	compiled *kernelEntry
 }
 
 // LoadKernel validates the kernel, stages its weights in DDR and installs
@@ -101,13 +103,31 @@ func (r *Runtime) LoadKernel(k *dpu.Kernel) (*Task, error) {
 	}
 	r.brd.SetWorkload(k.Workload)
 	t := &Task{rt: r, Kernel: k, ddrKey: key, golden: golden}
-	// A task dropped without Unload still lets go of its golden runs.
+	// A task dropped without Unload still lets go of its golden runs and
+	// its compiled kernel.
 	runtime.SetFinalizer(t, (*Task).release)
 	return t, nil
 }
 
+// Reload loads the task's kernel again on its runtime, as crash recovery
+// does after the board is power-cycled. The new task takes its own
+// reference to the task's compiled kernel, so unloading the old one
+// afterwards frees nothing the board still uses.
+func (t *Task) Reload() (*Task, error) {
+	nt, err := t.rt.LoadKernel(t.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	if t.compiled != nil {
+		t.compiled.retain()
+		nt.compiled = t.compiled
+	}
+	return nt, nil
+}
+
 // Unload frees the task's DDR staging area and releases its references
-// to golden runs; the last task to release one frees it.
+// to golden runs and to its compiled kernel; the last task to release an
+// entry frees it.
 func (t *Task) Unload() error {
 	t.release()
 	return t.rt.brd.DDR().Free(t.ddrKey)

@@ -3,7 +3,6 @@ package dnndk
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"fpgauv/internal/dpu"
 	"fpgauv/internal/models"
@@ -30,20 +29,10 @@ type traceKey struct {
 	dsFP            uint64
 }
 
-// traceEntry is one golden run. ready is closed once traces or err is
-// set; neither changes after that.
-type traceEntry struct {
-	key    traceKey
-	refs   int // guarded by store.mu
-	ready  chan struct{}
-	traces []*dpu.Trace
-	err    error
-}
+// traceEntry is one golden run in the store.
+type traceEntry = shared[traceKey, []*dpu.Trace]
 
-var store = struct {
-	mu      sync.Mutex
-	entries map[traceKey]*traceEntry
-}{entries: make(map[traceKey]*traceEntry)}
+var traceStore = newSharedStore[traceKey, []*dpu.Trace]()
 
 // refKey identifies the task's golden run on the dataset. The dataset
 // part is its content fingerprint, never its address: a freed dataset and
@@ -63,78 +52,48 @@ func (t *Task) reference(ds *models.Dataset) ([]*dpu.Trace, error) {
 	key := t.refKey(ds)
 	for _, e := range t.held {
 		if e.key == key {
-			return e.traces, nil
+			return e.val, nil
 		}
 	}
-	store.mu.Lock()
-	e, hit := store.entries[key]
-	if !hit {
-		e = &traceEntry{key: key, ready: make(chan struct{})}
-		store.entries[key] = e
-	}
-	e.refs++
-	store.mu.Unlock()
-	if hit {
-		<-e.ready
-	} else {
-		t.record(e, ds)
-	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	if e.err != nil {
-		unref(e) // a failed entry goes with its last asker
-		return nil, e.err
+	e, err := traceStore.acquire(key, func() ([]*dpu.Trace, error) { return t.record(ds) })
+	if err != nil {
+		return nil, err
 	}
 	t.held = append(t.held, e)
-	return e.traces, nil
+	return e.val, nil
 }
 
-// record fills a new entry.
-func (t *Task) record(e *traceEntry, ds *models.Dataset) {
-	defer close(e.ready)
-	traces := make([]*dpu.Trace, 0, ds.Len())
+// record makes a new entry's golden run.
+func (t *Task) record(ds *models.Dataset) ([]*dpu.Trace, error) {
+	out := make([]*dpu.Trace, 0, ds.Len())
 	scratch := dpu.NewScratch() // one arena for the whole reference pass
 	for lo := 0; lo < ds.Len(); lo += MicroBatch {
 		batch, err := t.rt.dp.TraceBatch(scratch, t.Kernel, ds.Inputs[lo:min(lo+MicroBatch, ds.Len())])
 		if err != nil {
-			e.err = fmt.Errorf("dnndk: reference inference: %w", err)
-			return
+			return nil, fmt.Errorf("dnndk: reference inference: %w", err)
 		}
-		traces = append(traces, batch...)
+		out = append(out, batch...)
 	}
-	e.traces = traces
+	return out, nil
 }
 
-// release drops every reference the task holds.
+// release drops every store reference the task holds: its golden runs
+// and its compiled kernel.
 func (t *Task) release() {
-	store.mu.Lock()
-	defer store.mu.Unlock()
 	for _, e := range t.held {
-		unref(e)
+		e.release()
 	}
 	t.held = nil
-}
-
-// unref drops one reference to e; the last one frees the entry. The
-// caller holds store.mu.
-func unref(e *traceEntry) {
-	if e.refs--; e.refs == 0 {
-		delete(store.entries, e.key)
+	if t.compiled != nil {
+		t.compiled.release()
+		t.compiled = nil
 	}
 }
 
 // TraceStoreHeld reports how many store entries key on a dataset with
 // content fingerprint dsFP, and the references they hold in all.
 func TraceStoreHeld(dsFP uint64) (entries, refs int) {
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	for key, e := range store.entries {
-		if key.dsFP == dsFP {
-			entries++
-			refs += e.refs
-		}
-	}
-	return entries, refs
+	return traceStore.held(func(key traceKey) bool { return key.dsFP == dsFP })
 }
 
 // kernelFingerprint is the 64-bit FNV-1a hash of everything calibration

@@ -80,7 +80,9 @@ type rig struct {
 }
 
 // buildRig assembles a fresh board of the given sample with the named
-// benchmark quantized at the given options and a planted-label dataset.
+// benchmark quantized at the given options and a planted-label dataset,
+// through the deployment protocol the API and the fleet use (the seed is
+// taken as given: 0 stays 0).
 func buildRig(sample board.SampleID, benchName string, opts Options, qopts dnndk.QuantizeOptions) (*rig, error) {
 	brd, err := board.New(sample)
 	if err != nil {
@@ -90,23 +92,11 @@ func buildRig(sample board.SampleID, benchName string, opts Options, qopts dnndk
 	if err != nil {
 		return nil, err
 	}
-	bench, err := models.New(benchName, opts.Preset)
+	dep, err := dnndk.Deploy(rt, benchName, opts.Preset, qopts, opts.Images, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	k, err := dnndk.Quantize(bench, qopts)
-	if err != nil {
-		return nil, err
-	}
-	task, err := rt.LoadKernel(k)
-	if err != nil {
-		return nil, err
-	}
-	ds := bench.MakeDataset(opts.Images, opts.Seed)
-	if err := task.PlantLabels(ds, bench.TargetAccPct, opts.Seed^0x1ab); err != nil {
-		return nil, err
-	}
-	return &rig{bench: bench, task: task, ds: ds}, nil
+	return &rig{bench: dep.Bench, task: dep.Task, ds: dep.Ds}, nil
 }
 
 // campaign builds a core campaign over the rig with the option's

@@ -323,9 +323,10 @@ func (m *member) recover() error {
 	m.brd.Reboot()
 	m.event(obs.EvReboot, m.brd.VCCINTmV(), "power-on reset complete; rails at nominal")
 	// The old task is unloaded after the new one has re-planted, so the
-	// golden run it holds is read from the trace store, not recorded
-	// again, even on a board that is the store entry's only holder.
-	task, err := m.rt.LoadKernel(m.kernel)
+	// golden run and the compiled kernel it holds are read from the
+	// stores, not made again, even on a board that is an entry's only
+	// holder.
+	task, err := m.task.Reload()
 	if err != nil {
 		return fmt.Errorf("fleet: %s: re-deploy: %w", m.id, err)
 	}

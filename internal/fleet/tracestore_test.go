@@ -9,17 +9,22 @@ import (
 )
 
 // TestTraceStorePoolLifetime: the two boards of a pool deploy the same
-// kernel and dataset, and record its golden run once, which both hold.
-// Crash/recover cycles swap a board's task without growing the store,
-// and closing the pool, which unloads every task, empties it.
+// kernel and dataset: they compile the kernel once and record its golden
+// run once, and both hold each. Crash/recover cycles swap a board's task
+// without growing either store, and closing the pool, which unloads
+// every task, empties both. The pool deploys at INT7, a precision no
+// other test here deploys, so the kernel-store entry is the pool's alone.
 func TestTraceStorePoolLifetime(t *testing.T) {
-	cfg := Config{Boards: 2, Benchmark: "VGGNet", Tiny: true, Images: 12, Seed: 4242, CharRepeats: 1, MonitorInterval: -1}
+	cfg := Config{Boards: 2, Benchmark: "VGGNet", Tiny: true, Bits: 7, Images: 12, Seed: 4242, CharRepeats: 1, MonitorInterval: -1}
 	bench, _ := models.New(cfg.Benchmark, models.Tiny)
 	fp := bench.MakeDataset(cfg.Images, cfg.Seed).Fingerprint()
 	held := func(at string, entries, refs int) {
 		t.Helper()
 		if e, r := dnndk.TraceStoreHeld(fp); e != entries || r != refs {
-			t.Fatalf("%s: %d entries holding %d references, want %d and %d", at, e, r, entries, refs)
+			t.Fatalf("%s: %d trace entries holding %d references, want %d and %d", at, e, r, entries, refs)
+		}
+		if e, r := dnndk.KernelStoreHeld(cfg.Benchmark, cfg.Bits); e != entries || r != refs {
+			t.Fatalf("%s: %d kernel entries holding %d references, want %d and %d", at, e, r, entries, refs)
 		}
 	}
 	held("before the pool", 0, 0)

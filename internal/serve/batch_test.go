@@ -112,6 +112,8 @@ func newTestBatcher(t *testing.T, boards, size int, window time.Duration) (*batc
 
 // occupy holds one board with a dedicated (pinned-seed) infer pass and
 // returns once it is at the gate; the channel closes when it is served.
+// A test waits on it once the gate is open, so the pass never reaches a
+// pool the test's cleanup has closed.
 func occupy(t *testing.T, b *batcher, g *gatedSched) <-chan struct{} {
 	t.Helper()
 	done := make(chan struct{})
@@ -155,7 +157,7 @@ func waitPending(t *testing.T, b *batcher, q *group, n int) {
 // armed for and must leave the fresh waiter alone.
 func TestBatcherStaleTimerDoesNotStealFreshBatch(t *testing.T) {
 	b, g := newTestBatcher(t, 1, 8, time.Hour)
-	occupy(t, b, g)
+	occupied := occupy(t, b, g)
 
 	firstDone := make(chan struct{})
 	go func() {
@@ -193,6 +195,7 @@ func TestBatcherStaleTimerDoesNotStealFreshBatch(t *testing.T) {
 	}
 	g.open()
 	<-firstDone
+	<-occupied
 }
 
 // Regression for the canceled-waiter leak: a caller that cancels while
@@ -259,7 +262,7 @@ func TestBatcherCanceledWaiterRemoved(t *testing.T) {
 // remaining batch-mates flush together and report the reduced size.
 func TestBatcherCancelMidBatch(t *testing.T) {
 	b, g := newTestBatcher(t, 1, 8, time.Hour)
-	occupy(t, b, g)
+	occupied := occupy(t, b, g)
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	resA := make(chan error, 1)
@@ -293,6 +296,7 @@ func TestBatcherCancelMidBatch(t *testing.T) {
 	if c := b.coalesced.Load(); c != 0 {
 		t.Errorf("coalesced = %d, want 0", c)
 	}
+	<-occupied
 }
 
 // With a board free a lone request is dispatched at once: it never
@@ -417,6 +421,7 @@ func TestBatcherWindowBoundsHold(t *testing.T) {
 	default:
 	}
 	g.open()
+	<-occupied
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +431,7 @@ func TestBatcherWindowBoundsHold(t *testing.T) {
 // later submissions.
 func TestBatcherCloseWithHeldWaiters(t *testing.T) {
 	b, g := newTestBatcher(t, 1, 8, time.Hour)
-	occupy(t, b, g)
+	occupied := occupy(t, b, g)
 
 	errs := make(chan error, 3)
 	for i := 0; i < 2; i++ {
@@ -462,6 +467,7 @@ func TestBatcherCloseWithHeldWaiters(t *testing.T) {
 		}
 	}
 	<-closed
+	<-occupied
 	if _, _, err := b.Submit(context.Background(), 0, nil); !errors.Is(err, ErrShutdown) {
 		t.Errorf("submit after Close: err = %v, want ErrShutdown", err)
 	}
